@@ -51,7 +51,8 @@ serve-smoke:
 # ephemeral ports with divergent edits (one deliberate conflict), a
 # joiner relaying gossip until every exchange short-circuits, then
 # byte-identical convergence, conflict surfacing, quorum read-repair
-# and rev-2 pull interop asserted, and a clean SIGTERM shutdown.
+# and a plain pull from a swarm port asserted, and a clean SIGTERM
+# shutdown.
 swarm-smoke:
 	dune build bin/fsync.exe
 	sh tools/swarm_smoke.sh

@@ -564,6 +564,23 @@ let latency () =
      across files\n"
     (Fsync_collection.Pipeline.total_bytes report / 1024)
     report.sequential_roundtrips report.batched_roundtrips;
+  (* The deployed daemon runs the batched schedule too: every file of a
+     pull in lockstep, one round trip per hash level (fsyncd/1 rev 4). *)
+  List.iter
+    (fun (pair : Source_tree.pair) ->
+      let files v =
+        List.map (fun (f : Source_tree.file) -> (f.path, f.content)) v
+      in
+      let r, _ =
+        Fsync_server.Loopback.run_in_memory
+          ~cache:(Fsync_server.Sigcache.create ())
+          ~server:(files pair.new_version) ~client:(files pair.old_version) ()
+      in
+      Printf.printf "daemon pull of %s (fsyncd/1): %.1f KB, %d round trips\n"
+        pair.name
+        (float_of_int (r.c2s_bytes + r.s2c_bytes) /. 1024.)
+        r.roundtrips)
+    [ pair; Datasets.emacs () ];
   let t =
     Table.create
       ~caption:
@@ -1613,7 +1630,7 @@ let speed () =
    ways — the swarm's seeded random gossip ({!Fsync_swarm.Swarm_loopback},
    O(log K) expected rounds, Merkle descent per session) and the
    pre-swarm baseline of every peer pairwise-pulling from every other
-   peer (K*(K-1) rev-2 sessions, full metadata each).  Both are the real
+   peer (K*(K-1) plain pull sessions, full metadata each).  Both are the real
    measured protocols; BENCH_swarm.json (schema fsync-swarm/1) records
    bytes-on-wire, rounds and conflicts per cell, and each gossip record
    carries its bytes ratio against the baseline — the acceptance bar
@@ -1735,7 +1752,7 @@ let swarm () =
                     base)
                 edits
             in
-            (* Baseline: every ordered pair runs one rev-2 pairwise
+            (* Baseline: every ordered pair runs one plain pairwise
                pull over the divergent state — what keeping K replicas
                fresh costs without the swarm layer. *)
             let (base_bytes, base_sessions), base_reg, _ =

@@ -31,7 +31,9 @@ type t = {
   mutable bytes_out : int;        (* payload bytes queued for sending *)
 }
 
-let create ?(max_outbox = 4 * 1024 * 1024) fd =
+let default_max_outbox = 4 * 1024 * 1024
+
+let create ?(max_outbox = default_max_outbox) fd =
   Lazy.force ignore_sigpipe;
   Unix.set_nonblock fd;
   {

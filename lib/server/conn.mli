@@ -10,8 +10,12 @@
 
 type t
 
+val default_max_outbox : int
+(** 4 MiB. *)
+
 val create : ?max_outbox:int -> Unix.file_descr -> t
-(** Sets the fd non-blocking.  [max_outbox] defaults to 4 MiB. *)
+(** Sets the fd non-blocking.  [max_outbox] defaults to
+    {!default_max_outbox}. *)
 
 val fd : t -> Unix.file_descr
 

@@ -23,7 +23,7 @@ let default_config =
     sync = Msg.default_sync_config;
     max_sessions = 64;
     session_timeout_s = 30.0;
-    max_outbox = 4 * 1024 * 1024;
+    max_outbox = Conn.default_max_outbox;
     cache_entries = 1024;
     busy_retry_after_s = 0.5;
   }

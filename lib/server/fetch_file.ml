@@ -17,47 +17,41 @@ type t = {
   who : string;
   config : Msg.sync_config;
   counters : counters;
-  path : string;
   new_len : int;
   fp : Fp.t;
   old : string;
   tree : Block_tree.t;
   mutable matches : (int * int * int) list; (* (new_off, len, old_pos), rev *)
   mutable delta : int; (* last observed old_pos - new_off: offset prediction *)
-  mutable index : (int * Candidates.t) option; (* per-level window index *)
   mutable expect_tail : bool;
 }
 
-let create ~who ~config ~counters ~path ~new_len ~fp ~old =
+let create ~who ~config ~counters ~new_len ~fp ~old =
   {
     who;
     config;
     counters;
-    path;
     new_len;
     fp;
     old;
     tree = Block_tree.create ~file_len:new_len ~start_block:config.start_block;
     matches = [];
     delta = 0;
-    index = None;
     expect_tail = false;
   }
 
-let path t = t.path
 let expect_tail t = t.expect_tail
 
 (* ---- per-round matching ---- *)
 
+(* The window index over the old copy, built for one round and dropped
+   with it: every round halves the block size, so a cached index would
+   never be hit again — and with every file of a session in flight at
+   once, keeping one per file would cost ~24 bytes per old byte
+   collection-wide. *)
 let level_index t ~size ~bits =
   if String.length t.old < size then None
-  else
-    match t.index with
-    | Some (s, idx) when Int.equal s size -> Some idx
-    | _ ->
-        let idx = Candidates.build t.old ~window:size ~bits in
-        t.index <- Some (size, idx);
-        Some idx
+  else Some (Candidates.build t.old ~window:size ~bits)
 
 (* A block shorter than the round's window (the file tail) cannot use
    the rolling index; probe the predicted and the same-offset positions
@@ -114,7 +108,7 @@ let on_hashes t hs =
   (match Msg.decide_next ~config:t.config t.tree with
   | `Split -> Block_tree.split t.tree
   | `Tail -> t.expect_tail <- true);
-  [ Msg.Matched (Msg.encode_bitmap bits_out) ]
+  Msg.encode_bitmap bits_out
 
 (* ---- reconstruction ---- *)
 
@@ -146,9 +140,8 @@ let on_tail t z =
   let content = Bytes.to_string out in
   t.counters.matched_bytes <- t.counters.matched_bytes + matched;
   t.counters.literal_bytes <- t.counters.literal_bytes + needed;
-  if Fp.equal (Fp.of_string content) t.fp then
-    (`Verified content, [ Msg.File_ack true ])
+  if Fp.equal (Fp.of_string content) t.fp then Some content
   else
     (* Weak-hash collision led us astray; ask for the verified full
        copy instead of guessing further. *)
-    (`Mismatch, [ Msg.File_ack false ])
+    None

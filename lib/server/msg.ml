@@ -2,15 +2,15 @@ module Fp = Fsync_hash.Fingerprint
 module Varint = Fsync_util.Varint
 module Error = Fsync_core.Error
 
-(* Protocol revision 2 appends an optional 16-byte trace id to [Hello]
-   (DESIGN.md §9); revision 3 appends an optional swarm extension after
-   it (peer id + entry-table root digest, DESIGN.md §13).  Older peers
-   interoperate: a v1 client's Hello simply carries no id (the server
-   mints one), a v2 client's no swarm extension, and both endpoints
-   accept any version in [min_version..version]. *)
-let version = 3
+(* Protocol revision 2 appended an optional 16-byte trace id to [Hello]
+   (DESIGN.md §9) and revision 3 an optional swarm extension after it
+   (peer id + entry-table root digest, DESIGN.md §13).  Revision 4 keys
+   every per-file message by a slot and batches one round of every file
+   in flight into one frame per message kind (DESIGN.md §10).  It is a
+   clean break: both endpoints accept revision 4 only. *)
+let version = 4
 
-let min_version = 1
+let min_version = 4
 
 let version_ok v = v >= min_version && v <= version
 
@@ -32,6 +32,8 @@ let trace_bytes = 16
 
 type swarm_hello = { peer : string; summary : Fp.t }
 
+type file_begin = { new_len : int; fp : Fp.t }
+
 type t =
   | Hello of {
       version : int;
@@ -47,12 +49,12 @@ type t =
     }
   | Announce of string
   | Verdict of string
-  | File_begin of { path : string; new_len : int; fp : Fp.t }
-  | Hashes of int array
-  | Matched of string
-  | Tail of string
-  | Full of string
-  | File_ack of bool
+  | File_begin of (int * file_begin) list
+  | Hashes of (int * int array) list
+  | Matched of (int * string) list
+  | Tail of { slot : int; literals : string }
+  | Full of { slot : int; body : string }
+  | File_ack of (int * bool) list
   | Bye of { root : Fp.t }
   | Error_msg of string
   | Push_begin of {
@@ -200,17 +202,35 @@ let encode ~config msg =
       Varint.write b config.start_block;
       Varint.write b config.min_block;
       Varint.write b config.hash_bits
-  | Announce body | Verdict body | Matched body | Tail body | Full body ->
-      Buffer.add_string b body
-  | File_begin { path; new_len; fp } ->
-      put_string b path;
-      Varint.write b new_len;
-      Buffer.add_string b (Fp.to_raw fp)
-  | Hashes hs ->
+  | Announce body | Verdict body -> Buffer.add_string b body
+  | File_begin items ->
+      List.iter
+        (fun (slot, { new_len; fp }) ->
+          Varint.write b slot;
+          Varint.write b new_len;
+          Buffer.add_string b (Fp.to_raw fp))
+        items
+  | Hashes items ->
       let width = hash_width config in
-      Varint.write b (Array.length hs);
-      Array.iter (fun h -> put_hash_le b ~width h) hs
-  | File_ack ok -> Buffer.add_char b (if ok then '\001' else '\000')
+      List.iter
+        (fun (slot, hs) ->
+          Varint.write b slot;
+          Varint.write b (Array.length hs);
+          Array.iter (fun h -> put_hash_le b ~width h) hs)
+        items
+  | Matched items ->
+      List.iter
+        (fun (slot, bitmap) ->
+          Varint.write b slot;
+          put_string b bitmap)
+        items
+  | Tail { slot; literals = body } | Full { slot; body } ->
+      Varint.write b slot;
+      Buffer.add_string b body
+  | File_ack items ->
+      List.iter
+        (fun (slot, ok) -> Varint.write b ((slot lsl 1) lor Bool.to_int ok))
+        items
   | Bye { root } -> Buffer.add_string b (Fp.to_raw root)
   | Error_msg m -> put_string b m
   | Push_begin { path; file_len; fp; manifest } ->
@@ -237,9 +257,18 @@ let need msg pos n what =
     Error.truncated "Msg: %s needs %d bytes, %d left" what n
       (String.length msg - pos)
 
+(* [Varint.read] signals bad input with [Invalid_argument]; every reader
+   here goes through this wrapper so the decoder raises typed errors
+   only. *)
+let get_varint msg ~pos what =
+  match Varint.read msg ~pos with
+  | v, p ->
+      if v < 0 then Error.malformed "Msg: negative %s" what;
+      (v, p)
+  | exception Invalid_argument _ -> Error.truncated "Msg: bad varint in %s" what
+
 let get_string msg ~pos what =
-  let len, p = Varint.read msg ~pos in
-  if len < 0 then Error.malformed "Msg: negative %s length" what;
+  let len, p = get_varint msg ~pos (what ^ " length") in
   need msg p len what;
   (String.sub msg p len, p + len)
 
@@ -257,33 +286,50 @@ let get_hash_le msg ~pos ~width =
 let rest msg pos = String.sub msg pos (String.length msg - pos)
 
 let get_manifest msg ~pos =
-  let count, pos = Varint.read msg ~pos in
+  let count, pos = get_varint msg ~pos "manifest count" in
   (* Each entry is at least fp + a 1-byte varint: bound [count] before
      trusting it (same discipline as the Hashes decoder). *)
-  if count < 0 || count > (String.length msg - pos) / (Fp.size_bytes + 1)
-  then
+  if count > (String.length msg - pos) / (Fp.size_bytes + 1) then
     Error.truncated "Msg: %d manifest entries overrun %d bytes" count
       (String.length msg);
   let pos = ref pos in
   let entries =
     List.init count (fun _ ->
         let fp, p = get_fp msg ~pos:!pos "manifest chunk" in
-        let len, p = Varint.read msg ~pos:p in
-        if len < 0 then Error.malformed "Msg: negative chunk length";
+        let len, p = get_varint msg ~pos:p "chunk length" in
         pos := p;
         (fp, len))
   in
   (entries, !pos)
+
+(* A batch body is a run of slot-keyed items up to the end of the frame.
+   Slots must be strictly ascending — which also rules out duplicates —
+   so each check is O(1); whether a slot is in range is the receiving
+   driver's business ({!Batch}), which alone knows how many are in
+   flight.  Items are read until the frame ends, so a body with bytes
+   left over that do not form a whole item fails typed. *)
+let get_items msg ~pos what item =
+  let rec go pos prev acc =
+    if pos >= String.length msg then List.rev acc
+    else begin
+      let slot, p = get_varint msg ~pos (what ^ " slot") in
+      if slot <= prev then
+        Error.malformed "Msg: %s slot %d after slot %d" what slot prev;
+      let v, p = item ~slot p in
+      go p slot (v :: acc)
+    end
+  in
+  go pos (-1) []
 
 let decode ~config msg =
   if String.equal msg "" then Error.truncated "Msg: empty message";
   let pos = 1 in
   match msg.[0] with
   | 'H' ->
-      let version, pos = Varint.read msg ~pos in
-      (* A v1 Hello ends at the varint; v2 appends exactly the trace
-         id; v3 may append the swarm extension after it.  Any other
-         shape is a framing bug, not a trace. *)
+      let version, pos = get_varint msg ~pos "version" in
+      (* A Hello ends at the varint, or carries exactly the trace id, or
+         the trace id and then the swarm extension.  Any other shape is
+         a framing bug, not a trace. *)
       let remaining = String.length msg - pos in
       if Int.equal remaining 0 then
         Hello { version; trace = None; swarm = None }
@@ -305,13 +351,12 @@ let decode ~config msg =
       end
       else Hello { version; trace = None; swarm = None }
   | 'W' ->
-      let version, pos = Varint.read msg ~pos in
-      let file_count, pos = Varint.read msg ~pos in
-      if file_count < 0 then Error.malformed "Msg: negative file count";
+      let version, pos = get_varint msg ~pos "version" in
+      let file_count, pos = get_varint msg ~pos "file count" in
       let root, pos = get_fp msg ~pos "welcome root" in
-      let start_block, pos = Varint.read msg ~pos in
-      let min_block, pos = Varint.read msg ~pos in
-      let hash_bits, _ = Varint.read msg ~pos in
+      let start_block, pos = get_varint msg ~pos "start block" in
+      let min_block, pos = get_varint msg ~pos "min block" in
+      let hash_bits, _ = get_varint msg ~pos "hash bits" in
       let config =
         validate_sync_config { start_block; min_block; hash_bits }
       in
@@ -319,28 +364,52 @@ let decode ~config msg =
   | 'A' -> Announce (rest msg pos)
   | 'V' -> Verdict (rest msg pos)
   | 'B' ->
-      let path, pos = get_string msg ~pos "file path" in
-      let new_len, pos = Varint.read msg ~pos in
-      if new_len < 0 then Error.malformed "Msg: negative file length";
-      let fp, _ = get_fp msg ~pos "file fingerprint" in
-      File_begin { path; new_len; fp }
+      File_begin
+        (get_items msg ~pos "file-begin" (fun ~slot p ->
+             let new_len, p = get_varint msg ~pos:p "file length" in
+             let fp, p = get_fp msg ~pos:p "file fingerprint" in
+             ((slot, { new_len; fp }), p)))
   | 'S' ->
       let width = hash_width config in
-      let count, pos = Varint.read msg ~pos in
-      (* Bound [count] before any multiplication: a hostile varint near
-         max_int would overflow [count * width] negative and slip past
-         a sum-based check. *)
-      if count < 0 || count > (String.length msg - pos) / width then
-        Error.truncated "Msg: %d hashes of %d bytes overrun %d" count width
-          (String.length msg);
       Hashes
-        (Array.init count (fun i -> get_hash_le msg ~pos:(pos + (i * width)) ~width))
-  | 'M' -> Matched (rest msg pos)
-  | 'T' -> Tail (rest msg pos)
-  | 'F' -> Full (rest msg pos)
+        (get_items msg ~pos "hashes" (fun ~slot p ->
+             let count, p = get_varint msg ~pos:p "hash count" in
+             (* Bound [count] before any multiplication: a hostile
+                varint near max_int would overflow [count * width]
+                negative and slip past a sum-based check. *)
+             if count > (String.length msg - p) / width then
+               Error.truncated "Msg: %d hashes of %d bytes overrun %d" count
+                 width (String.length msg);
+             let hs =
+               Array.init count (fun i ->
+                   get_hash_le msg ~pos:(p + (i * width)) ~width)
+             in
+             ((slot, hs), p + (count * width))))
+  | 'M' ->
+      Matched
+        (get_items msg ~pos "matched" (fun ~slot p ->
+             let bitmap, p = get_string msg ~pos:p "matched bitmap" in
+             ((slot, bitmap), p)))
+  | 'T' ->
+      let slot, pos = get_varint msg ~pos "tail slot" in
+      Tail { slot; literals = rest msg pos }
+  | 'F' ->
+      let slot, pos = get_varint msg ~pos "full slot" in
+      Full { slot; body = rest msg pos }
   | 'K' ->
-      need msg pos 1 "ack";
-      File_ack (Char.equal msg.[pos] '\001')
+      (* One varint per ack, the flag in its low bit: a push's single
+         slot-0 ack is the same two bytes it always was. *)
+      let rec acks pos prev acc =
+        if pos >= String.length msg then List.rev acc
+        else begin
+          let v, p = get_varint msg ~pos "ack" in
+          let slot = v lsr 1 in
+          if slot <= prev then
+            Error.malformed "Msg: ack slot %d after slot %d" slot prev;
+          acks p slot ((slot, Int.equal (v land 1) 1) :: acc)
+        end
+      in
+      File_ack (acks pos (-1) [])
   | 'Y' ->
       let root, _ = get_fp msg ~pos "bye root" in
       Bye { root }
@@ -349,8 +418,7 @@ let decode ~config msg =
       Error_msg m
   | 'P' ->
       let path, pos = get_string msg ~pos "push path" in
-      let file_len, pos = Varint.read msg ~pos in
-      if file_len < 0 then Error.malformed "Msg: negative push file length";
+      let file_len, pos = get_varint msg ~pos "push file length" in
       let fp, pos = get_fp msg ~pos "push fingerprint" in
       let manifest, _ = get_manifest msg ~pos in
       Push_begin { path; file_len; fp; manifest }
@@ -361,8 +429,7 @@ let decode ~config msg =
       let root, pos = get_fp msg ~pos "resume root" in
       Resume { root; bitmap = rest msg pos }
   | 'U' ->
-      let retry_after_ms, _ = Varint.read msg ~pos in
-      if retry_after_ms < 0 then Error.malformed "Msg: negative retry-after";
+      let retry_after_ms, _ = get_varint msg ~pos "retry-after" in
       Busy { retry_after_ms }
   | 'G' -> Swarm_table (rest msg pos)
   | 'J' -> Swarm_recon (rest msg pos)

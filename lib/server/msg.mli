@@ -2,26 +2,46 @@
 
     The daemon and the puller exchange these over a frame transport
     ({!Conn} server-side, {!Fsync_net.Fd_transport} client-side); one
-    frame carries exactly one message.  The metadata bodies ([Announce],
-    [Verdict]) and the verified full-file message ([Full]) are opaque
-    here — their encodings live in {!Fsync_collection.Meta_wire} so the
-    daemon serves byte-identical metadata to the in-memory driver.
+    frame carries exactly one message, so one message kind.  The
+    metadata bodies ([Announce], [Verdict]) and the verified full-file
+    payload inside [Full] are opaque here — their encodings live in
+    {!Fsync_collection.Meta_wire} so the daemon serves byte-identical
+    metadata to the in-memory driver.
 
-    Session flow:
+    Every per-file message is keyed by a {e slot}: the file's index in
+    the session's job order, which both ends derive from the [Verdict]
+    (the announced paths it marks as not up to date, in announce order,
+    then its new paths).  A batch frame ([File_begin], [Hashes],
+    [Matched], [File_ack]) carries one item per slot, in ascending slot
+    order; [Tail] and [Full] carry one file each.  The two ends take
+    turns ({!Batch}): a server turn opens files and answers every
+    client reply of the previous turn at once, so a pull costs one
+    round trip per hash level, not per file per level.
+
+    Session flow (rev 4):
     {v
-    client                           server
-      Hello            ->
-                       <-  Welcome (count, root, sync parameters)
-      Announce         ->
-                       <-  Verdict
-                       <-  File_begin (path, len, fp)   per changed file
-                       <-  Hashes (level hashes)        per round
-      Matched (bitmap) ->
-                       <-  ... Hashes / Tail (literals)
-      File_ack ok      ->
-                       <-  Full (on ack failure / new files)
-                       <-  Bye (collection root)
+    client                              server
+      Hello             ->
+                        <-  Welcome (count, root, sync parameters)
+      [Resume] Announce ->
+                        <-  Verdict
+                        <-  File_begin (slot, len, fp)*   opened files
+                        <-  Full (slot)                   one per file
+                        <-  Hashes (slot, level hashes)*  ends the turn
+      File_ack (slot)*  ->
+      Matched (slot, bitmap)* ->
+                        <-  Tail (slot) / Full (slot)     one per file
+                        <-  Hashes (slot, next level)*    ends the turn
+      ...               one round trip per hash level
+      File_ack (slot)*  ->                    false: a [Full] follows
+                        <-  Bye (collection root)
     v}
+
+    A server turn always ends with its [Hashes] frame, empty when no
+    file is in a hash round, or with [Bye]; a client turn is over once
+    every slot the server sent to has been answered.  At most
+    {!Batch.turn_budget} bytes of [Tail]/[Full] payload go into one
+    turn; the rest waits for the next one.
 
     Push flow (client uploads into a store-backed daemon; the [Hello] /
     [Welcome] opening is shared, then the first [Push_begin] selects the
@@ -31,7 +51,7 @@
       Push_begin       ->               (path, len, fp, chunk manifest)
                        <-  Chunk_need (bitmap, 1 = upload it)
       Chunk_data       ->               (deflated needed chunks, in order)
-                       <-  File_ack true
+                       <-  File_ack (slot 0, true)
                         |  Chunk_need (all-ones: store let the server
                            down mid-assembly; retried at most once)
       ... per file, then:
@@ -40,12 +60,14 @@
     v} *)
 
 val version : int
-(** Current protocol revision (3: [Hello] may carry a trace id and,
-    after it, the swarm extension — peer id plus entry-table root
-    digest, DESIGN.md §13). *)
+(** Current protocol revision (4: per-file messages are slot-keyed and
+    batched per turn; [Hello] may carry a trace id and, after it, the
+    swarm extension — peer id plus entry-table root digest, DESIGN.md
+    §13). *)
 
 val min_version : int
-(** Oldest revision both endpoints still accept (1). *)
+(** Oldest revision both endpoints still accept (4: revision 4 is a
+    clean break). *)
 
 val version_ok : int -> bool
 (** [min_version <= v <= version]. *)
@@ -78,8 +100,15 @@ type swarm_hello = {
           ({!Fsync_swarm.Replica}): equal summaries short-circuit a
           gossip session to a handful of tiny frames *)
 }
-(** The v3 [Hello] extension that turns a session into an anti-entropy
+(** The [Hello] extension that turns a session into an anti-entropy
     gossip exchange (DESIGN.md §13). *)
+
+type file_begin = {
+  new_len : int;
+  fp : Fsync_hash.Fingerprint.t;
+}
+(** Opens a slot for the hash rounds: the new file's length and
+    whole-file fingerprint.  The path is the slot's. *)
 
 type t =
   | Hello of {
@@ -88,9 +117,9 @@ type t =
       swarm : swarm_hello option;
     }
       (** [trace] is exactly {!trace_bytes} raw bytes when present; a
-          v1 peer sends none and the server mints an id of its own, so
+          peer that sends none gets an id minted by the server, so
           every session ends up traceable either way (DESIGN.md §9).
-          [swarm] (v3) asks the peer for a gossip exchange instead of a
+          [swarm] asks the peer for a gossip exchange instead of a
           plain pull/push session; its wire form requires a trace slot,
           so a swarm Hello without a trace carries an all-zero id. *)
   | Welcome of {
@@ -101,19 +130,22 @@ type t =
     }
   | Announce of string  (** {!Fsync_collection.Meta_wire} announce bytes *)
   | Verdict of string   (** {!Fsync_collection.Meta_wire} verdict bytes *)
-  | File_begin of {
-      path : string;
-      new_len : int;
-      fp : Fsync_hash.Fingerprint.t;
-    }
-  | Hashes of int array
-      (** truncated level hashes, one per active block in canonical
-          (ascending-offset) order — never block ids: both sides derive
-          the same tree *)
-  | Matched of string   (** bitmap, one bit per active block, 1 = matched *)
-  | Tail of string      (** deflated literals of the unconfirmed blocks *)
-  | Full of string      (** {!Fsync_collection.Meta_wire} file message *)
-  | File_ack of bool    (** false asks for the [Full] fallback *)
+  | File_begin of (int * file_begin) list
+      (** slots opened for hash rounds this turn *)
+  | Hashes of (int * int array) list
+      (** per slot, the truncated level hashes, one per active block in
+          canonical (ascending-offset) order — never block ids: both
+          sides derive the same tree.  Ends every server turn of the
+          transfer phase, with no items when no file is hashing. *)
+  | Matched of (int * string) list
+      (** per slot, a bitmap with one bit per active block, 1 = matched *)
+  | Tail of { slot : int; literals : string }
+      (** deflated literals of the slot's unconfirmed blocks *)
+  | Full of { slot : int; body : string }
+      (** {!Fsync_collection.Meta_wire} file message for the slot *)
+  | File_ack of (int * bool) list
+      (** per slot, false asks for the [Full] fallback.  A push answers
+          each file with a single slot-0 ack. *)
   | Bye of { root : Fsync_hash.Fingerprint.t }
   | Error_msg of string (** typed teardown notification *)
   | Push_begin of {
@@ -170,8 +202,10 @@ val encode : config:sync_config -> t -> string
 
 val decode : config:sync_config -> string -> t
 (** Raises typed {!Fsync_core.Error} values on malformed input (via the
-    hardened readers); never crashes.  [config] fixes the hash width for
-    [Hashes]. *)
+    hardened readers), and nothing else.  Batch items must come in
+    strictly ascending slot order (so no slot repeats) and fill the
+    frame exactly; every count is bounded by the bytes left before it
+    is trusted.  [config] fixes the hash width for [Hashes]. *)
 
 (** {2 Shared protocol rules}
 

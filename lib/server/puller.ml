@@ -7,8 +7,7 @@ module Trace_id = Fsync_obs.Trace_id
 type phase =
   | Expect_welcome
   | Expect_verdict
-  | Expect_file
-  | In_file of Fetch_file.t
+  | Transfer of Batch.Fetch.t
   | Done
 
 type resume_token = {
@@ -28,7 +27,7 @@ type t = {
   mutable config : Msg.sync_config;
   mutable phase : phase;
   mutable unchanged : (string * string) list;
-  mutable received : (string * string) list; (* rev *)
+  received : (string, string) Hashtbl.t; (* verified files, by path *)
   mutable server_root : Fp.t option; (* from Welcome *)
   mutable new_paths : string list option; (* from Verdict *)
   mutable resumed_files : int; (* jobs skipped via the resume token *)
@@ -46,7 +45,7 @@ let create ?(scope = Scope.disabled) ?trace_id ?resume files =
     config = Msg.default_sync_config;
     phase = Expect_welcome;
     unchanged = [];
-    received = [];
+    received = Hashtbl.create 64;
     server_root = None;
     new_paths = None;
     resumed_files = 0;
@@ -81,14 +80,11 @@ let end_phases t =
 let sync_phase t =
   match t.phase with
   | Expect_welcome | Expect_verdict -> set_phase t "phase:metadata"
-  | Expect_file ->
-      (* Between files: stay in whatever phase got us here (metadata
-         right after the verdict, literals after a tail/full). *)
-      if Option.is_none t.span_phase then set_phase t "phase:metadata"
-  | In_file p ->
-      set_phase t
-        (if Fetch_file.expect_tail p then "phase:literals"
-         else "phase:hash_rounds")
+  | Transfer f ->
+      (* With nothing mid-transfer (right after the verdict, or between
+         turns) stay in whatever phase got us here. *)
+      if Batch.Fetch.hashing f then set_phase t "phase:hash_rounds"
+      else if not (Batch.Fetch.idle f) then set_phase t "phase:literals"
   | Done -> end_phases t
 
 let start t =
@@ -98,27 +94,20 @@ let start t =
 
 let finished t = match t.phase with Done -> true | _ -> false
 
+let received t = List.of_seq (Hashtbl.to_seq t.received)
+
 let result t =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
-    (t.unchanged @ List.rev t.received)
-
-let find_old t path =
-  match List.find_opt (fun (p, _) -> String.equal p path) t.files with
-  | Some (_, content) -> content
-  | None -> ""
+    (t.unchanged @ received t)
 
 (* Replace-by-path: if a server ignores our resume bitmap and re-sends a
    completed file, the fresh copy supersedes the primed one instead of
    duplicating the path (which would poison the Bye root check). *)
-let add_received t path content =
-  t.received <-
-    (path, content)
-    :: List.filter (fun (p, _) -> not (String.equal p path)) t.received
+let add_received t path content = Hashtbl.replace t.received path content
 
 let on_bye t root =
-  let final = t.unchanged @ List.rev t.received in
-  let actual = Meta_wire.collection_root final in
+  let actual = Meta_wire.collection_root (t.unchanged @ received t) in
   if not (Fp.equal actual root) then
     Error.fail
       (Error.Verification_failed
@@ -143,16 +132,35 @@ let resume_replies t ~root =
   match usable_resume t ~root with
   | None -> []
   | Some r ->
-      let have p =
-        List.exists (fun (q, _) -> String.equal q p) r.rt_completed
-      in
-      t.received <- List.rev r.rt_completed;
+      List.iter (fun (p, c) -> add_received t p c) r.rt_completed;
+      let have p = Hashtbl.mem t.received p in
       t.resumed_files <- List.length r.rt_completed;
       let bits =
         List.map (fun (p, _) -> have p) t.files
         @ List.map have r.rt_new_paths
       in
       [ Msg.Resume { root; bitmap = Msg.encode_bitmap bits } ]
+
+(* The verdict fixes the slot space both ends share: the announced
+   paths it marks as not up to date, in announce order, then its new
+   paths. *)
+let on_verdict t body =
+  let bits, new_paths =
+    Meta_wire.decode_verdict ~n_announced:(List.length t.files) body
+  in
+  t.unchanged <- List.filteri (fun i _ -> bits.(i)) t.files;
+  t.new_paths <- Some new_paths;
+  let stale = List.filteri (fun i _ -> not bits.(i)) t.files in
+  let paths = Array.of_list (List.map fst stale @ new_paths) in
+  let olds = Array.of_list (List.map snd stale) in
+  t.phase <-
+    Transfer
+      (Batch.Fetch.create ~who:"Puller" ~config:t.config ~counters:t.counters
+         ~path:(fun i -> paths.(i))
+         ~old:(fun i -> if i < Array.length olds then olds.(i) else "")
+         ~on_file:(fun i content -> add_received t paths.(i) content)
+         ~slots:(Array.length paths));
+  []
 
 let on_message t raw =
   let msg = Msg.decode ~config:t.config raw in
@@ -171,38 +179,14 @@ let on_message t raw =
           ]
     | Expect_welcome, Msg.Busy { retry_after_ms } ->
         Handshake.reject_busy ~retry_after_ms
-    | Expect_verdict, Msg.Verdict body ->
-        let bits, new_paths =
-          Meta_wire.decode_verdict ~n_announced:(List.length t.files) body
-        in
-        t.unchanged <-
-          List.filteri (fun i _ -> bits.(i)) t.files;
-        t.new_paths <- Some new_paths;
-        t.phase <- Expect_file;
-        []
-    | Expect_file, Msg.File_begin { path; new_len; fp } ->
-        t.phase <-
-          In_file
-            (Fetch_file.create ~who:"Puller" ~config:t.config
-               ~counters:t.counters ~path ~new_len ~fp ~old:(find_old t path));
-        []
-    | In_file p, Msg.Hashes hs when not (Fetch_file.expect_tail p) ->
-        Fetch_file.on_hashes p hs
-    | In_file p, Msg.Tail z when Fetch_file.expect_tail p ->
-        let outcome, replies = Fetch_file.on_tail p z in
-        t.phase <- Expect_file;
-        (match outcome with
-        | `Verified content -> add_received t (Fetch_file.path p) content
-        | `Mismatch -> ());
-        replies
-    | Expect_file, Msg.Full body ->
-        set_phase t "phase:literals";
-        let path, content = Meta_wire.decode_file_msg ~old_content:"" body in
-        add_received t path content;
-        t.counters.literal_bytes <-
-          t.counters.literal_bytes + String.length content;
-        [ Msg.File_ack true ]
-    | Expect_file, Msg.Bye { root } -> on_bye t root
+    | Expect_verdict, Msg.Verdict body -> on_verdict t body
+    | Transfer f, (Msg.File_begin _ | Msg.Hashes _ | Msg.Tail _ | Msg.Full _)
+      ->
+        Batch.Fetch.on_message f msg
+    | Transfer f, Msg.Bye { root } ->
+        if not (Batch.Fetch.idle f) then
+          Error.malformed "Puller: Bye with files mid-transfer";
+        on_bye t root
     | _, Msg.Error_msg m ->
         Error.fail
           (Error.Disconnected (Printf.sprintf "Puller: server error: %s" m))
@@ -223,16 +207,16 @@ let on_message t raw =
    once the verdict arrived (the bitmap index space is known) and some
    file actually completed. *)
 let resume_token t =
-  match (t.server_root, t.new_paths, t.received) with
-  | Some root, Some new_paths, (_ :: _ as received) ->
+  match (t.server_root, t.new_paths) with
+  | Some root, Some new_paths when Hashtbl.length t.received > 0 ->
       Some
         {
           rt_root = root;
           rt_announced = List.map fst t.files;
           rt_new_paths = new_paths;
-          rt_completed = List.rev received;
+          rt_completed = received t;
         }
-  | _ -> ( match t.resume with Some _ as r -> r | None -> None)
+  | _ -> t.resume
 
 type stats = {
   rounds : int;

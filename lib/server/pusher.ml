@@ -168,11 +168,11 @@ let on_message t raw =
     (* A Chunk_need after our data is the server's one store-failure
        retry: re-send per the new (all-ones) bitmap. *)
     | Expect_ack job, Msg.Chunk_need bitmap -> on_need t job bitmap
-    | Expect_ack job, Msg.File_ack true ->
+    | Expect_ack job, Msg.File_ack [ (0, true) ] ->
         t.files_pushed <- t.files_pushed + 1;
         t.acked <- job.path :: t.acked;
         advance t
-    | Expect_ack job, Msg.File_ack false ->
+    | Expect_ack job, Msg.File_ack [ (0, false) ] ->
         Error.fail
           (Error.Verification_failed
              (Printf.sprintf "Pusher: server rejected verified push of %s"

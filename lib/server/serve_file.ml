@@ -16,6 +16,12 @@ type counters = {
 let fresh_counters () =
   { hashes_total = 0; hashes_cached = 0; full_fallbacks = 0; rounds = 0 }
 
+type send =
+  | Begin of { new_len : int; fp : Fp.t; hashes : int array }
+  | Hashes of int array
+  | Tail of string
+  | Full of string
+
 type state =
   | Idle
   | Rounds of Block_tree.t
@@ -38,8 +44,6 @@ let create ?(full_content = fun _ -> None) ?(on_fallback = fun () -> ())
   { who; config; cache; counters; full_content; on_fallback; job;
     state = Idle }
 
-let job t = t.job
-
 let expecting t =
   match t.state with
   | Idle | Rounds _ -> `Matched
@@ -58,8 +62,7 @@ let full_msg t =
   let tag, body =
     if String.length z < String.length content then ('Z', z) else ('R', content)
   in
-  Msg.Full
-    (Meta_wire.encode_file_msg ~path:t.job.path ~fp:t.job.fp ~tag ~body)
+  Full (Meta_wire.encode_file_msg ~path:t.job.path ~fp:t.job.fp ~tag ~body)
 
 (* One round's hash burst: the cached full-level vector indexed by
    [off / size] covers every active block, whichever client asks. *)
@@ -87,7 +90,7 @@ let start t =
     (* No old copy to match against, or too small for even one split:
        the verified full transfer is strictly cheaper than a round. *)
     t.state <- Awaiting_ack { full_sent = true };
-    [ full_msg t ]
+    full_msg t
   end
   else begin
     let tree =
@@ -96,15 +99,12 @@ let start t =
         ~start_block:t.config.start_block
     in
     t.state <- Rounds tree;
-    [
-      Msg.File_begin
-        {
-          path = t.job.path;
-          new_len = String.length t.job.content;
-          fp = t.job.fp;
-        };
-      Msg.Hashes (level_hashes t tree);
-    ]
+    Begin
+      {
+        new_len = String.length t.job.content;
+        fp = t.job.fp;
+        hashes = level_hashes t tree;
+      }
   end
 
 let on_matched t bitmap =
@@ -121,7 +121,7 @@ let on_matched t bitmap =
       match Msg.decide_next ~config:t.config tree with
       | `Split ->
           Block_tree.split tree;
-          [ Msg.Hashes (level_hashes t tree) ]
+          Hashes (level_hashes t tree)
       | `Tail ->
           let buf = Buffer.create 256 in
           List.iter
@@ -129,7 +129,7 @@ let on_matched t bitmap =
               Buffer.add_substring buf t.job.content b.off b.len)
             (Block_tree.active_blocks tree);
           t.state <- Awaiting_ack { full_sent = false };
-          [ Msg.Tail (Deflate.compress (Buffer.contents buf)) ])
+          Tail (Deflate.compress (Buffer.contents buf)))
 
 let on_ack t ok =
   match t.state with
@@ -138,7 +138,7 @@ let on_ack t ok =
   | Awaiting_ack ack ->
       if ok then begin
         t.state <- Complete;
-        `Complete
+        None
       end
       else if ack.full_sent then
         Error.fail
@@ -149,5 +149,5 @@ let on_ack t ok =
         ack.full_sent <- true;
         t.counters.full_fallbacks <- t.counters.full_fallbacks + 1;
         t.on_fallback ();
-        `Replies [ full_msg t ]
+        Some (full_msg t)
       end

@@ -1,16 +1,17 @@
 (** The serving side of one file's transfer (the paper's recursive
     multiround protocol, server half).
 
-    Extracted from {!Session} so the swarm gossip exchange
+    One machine per file; {!Batch.Serve} drives every file of a session
+    through its machine in lockstep.  The swarm gossip exchange
     ({!Fsync_swarm.Gossip}) serves files through the very same state
     machine — and therefore the very same bytes — as the daemon, in
     either direction of a gossip session.
 
-    Message shape per file: either a verified [Full] (no old copy, or
-    the file is too small to split), or [File_begin] + [Hashes] rounds
-    answered by [Matched] bitmaps until the split floor, then the
-    deflated [Tail] literals, then the client's [File_ack].  A false
-    ack gets one verified [Full] retry before a typed
+    What one file sends: either a verified [Full] (no old copy, or the
+    file is too small to split), or [Begin] with the first level's
+    hashes, then one [Hashes] round per [Matched] bitmap until the split
+    floor, then the deflated [Tail] literals, then the receiver's ack.
+    A false ack gets one verified [Full] retry before a typed
     [Verification_failed]. *)
 
 type job = {
@@ -30,6 +31,18 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
+type send =
+  | Begin of {
+      new_len : int;
+      fp : Fsync_hash.Fingerprint.t;
+      hashes : int array;
+    }
+      (** open the hash rounds, with the first level's hashes *)
+  | Hashes of int array  (** the next level's hashes *)
+  | Tail of string       (** deflated literals of the unconfirmed blocks *)
+  | Full of string       (** {!Fsync_collection.Meta_wire} file message *)
+(** One file's next message, before {!Batch} keys it by slot. *)
+
 type t
 
 val create :
@@ -46,17 +59,15 @@ val create :
     fires when a false ack triggers the full retry.  [who] prefixes
     error messages. *)
 
-val job : t -> job
+val start : t -> send
+(** The opening message; check {!expecting} for what must come back. *)
 
-val start : t -> Msg.t list
-(** The opening messages; check {!expecting} for what must come back. *)
-
-val on_matched : t -> string -> Msg.t list
+val on_matched : t -> string -> send
 (** Feed a [Matched] bitmap; the next [Hashes] round or the [Tail]. *)
 
-val on_ack : t -> bool -> [ `Complete | `Replies of Msg.t list ]
-(** Feed the [File_ack].  [`Complete] ends the file; [`Replies] is the
-    one full-fallback retry.  Raises typed [Verification_failed] when a
+val on_ack : t -> bool -> send option
+(** Feed the ack.  [None] ends the file; [Some (Full _)] is the one
+    full-fallback retry.  Raises typed [Verification_failed] when a
     verified full transfer was rejected. *)
 
 val expecting : t -> [ `Matched | `Ack | `Done ]

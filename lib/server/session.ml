@@ -26,8 +26,7 @@ type push_file = {
 type phase =
   | Expect_hello
   | Expect_announce
-  | Expect_matched of Serve_file.t
-  | Expect_ack of Serve_file.t
+  | Transfer of Batch.Serve.t
   | Expect_push
   | Expect_chunks of push_file
   | Done
@@ -36,6 +35,7 @@ type phase =
 type t = {
   config : Msg.sync_config;
   files : (string * string) list;
+  by_path : (string, string) Hashtbl.t; (* [files], keyed by path *)
   root : Fp.t;
   cache : Sigcache.t;
   store : Store.t option;
@@ -46,7 +46,6 @@ type t = {
   mutable span_session : int; (* root "session" span; -1 = not open *)
   mutable span_phase : (string * int) option; (* current phase span *)
   mutable phase : phase;
-  mutable queue : job list;
   mutable pending_resume : (Fp.t * string) option; (* Resume before Announce *)
   mutable resumed_jobs : int;
   mutable pushed : (string * string) list; (* rev *)
@@ -60,9 +59,12 @@ let create ?(config = Msg.default_sync_config) ?(scope = Scope.disabled)
     ?(trace = Scope.disabled) ?store
     ?(publish = fun ~path:_ ~content:_ -> ()) ~cache files =
   let config = Msg.validate_sync_config config in
+  let by_path = Hashtbl.create (List.length files) in
+  List.iter (fun (p, c) -> Hashtbl.replace by_path p c) files;
   {
     config;
     files;
+    by_path;
     root = Meta_wire.collection_root files;
     cache;
     store;
@@ -73,7 +75,6 @@ let create ?(config = Msg.default_sync_config) ?(scope = Scope.disabled)
     span_session = -1;
     span_phase = None;
     phase = Expect_hello;
-    queue = [];
     pending_resume = None;
     resumed_jobs = 0;
     pushed = [];
@@ -95,8 +96,7 @@ let phase_name t =
   match t.phase with
   | Expect_hello -> "hello"
   | Expect_announce -> "announce"
-  | Expect_matched _ -> "pull:rounds"
-  | Expect_ack _ -> "pull:ack"
+  | Transfer b -> if Batch.Serve.hashing b then "pull:rounds" else "pull:ack"
   | Expect_push -> "push:idle"
   | Expect_chunks _ -> "push:chunks"
   | Done -> "done"
@@ -133,15 +133,12 @@ let sync_phase t =
   match t.phase with
   | Expect_hello -> ()
   | Expect_announce -> set_phase t "phase:metadata"
-  | Expect_matched _ -> set_phase t "phase:hash_rounds"
-  | Expect_ack _ -> set_phase t "phase:literals"
+  | Transfer b ->
+      set_phase t
+        (if Batch.Serve.hashing b then "phase:hash_rounds"
+         else "phase:literals")
   | Expect_push | Expect_chunks _ -> set_phase t "phase:push"
   | Done | Failed -> end_phases t
-
-let find_file t path =
-  match List.find_opt (fun (p, _) -> String.equal p path) t.files with
-  | Some (_, content) -> Some content
-  | None -> None
 
 (* A full payload whose manifest is on record and whose chunks are all
    resident is assembled out of the store instead of the in-memory copy
@@ -180,72 +177,29 @@ let store_full_content t job =
    exchange; the daemon contributes the store-assembled [Full] payloads
    and its fallback counter. *)
 let open_job t job =
-  let sf =
-    Serve_file.create
-      ~full_content:(fun job -> store_full_content t job)
-      ~on_fallback:(fun () -> Scope.incr t.scope "server_full_fallbacks")
-      ~who:"Session" ~config:t.config ~cache:t.cache ~counters:t.counters job
-  in
-  let msgs = Serve_file.start sf in
-  (t.phase <-
-     (match Serve_file.expecting sf with
-     | `Matched -> Expect_matched sf
-     | `Ack | `Done -> Expect_ack sf));
-  msgs
+  Serve_file.create
+    ~full_content:(fun job -> store_full_content t job)
+    ~on_fallback:(fun () -> Scope.incr t.scope "server_full_fallbacks")
+    ~who:"Session" ~config:t.config ~cache:t.cache ~counters:t.counters job
 
-let advance t =
-  match t.queue with
-  | [] ->
-      t.phase <- Done;
-      [ Msg.Bye { root = t.root } ]
-  | job :: rest ->
-      t.queue <- rest;
-      open_job t job
+let close_if_complete t batch =
+  if Batch.Serve.complete batch then begin
+    t.phase <- Done;
+    [ Msg.Bye { root = t.root } ]
+  end
+  else []
 
-let on_announce t body =
-  let announced = Meta_wire.decode_announce body in
-  let changed = ref [] in
-  let bits =
-    List.map
-      (fun (path, client_fp) ->
-        match find_file t path with
-        | None -> false (* gone from the collection: client deletes *)
-        | Some content ->
-            let fp = Fp.of_string content in
-            if Fp.equal fp client_fp then true
-            else begin
-              changed := { path; content; fp; has_old = true } :: !changed;
-              false
-            end)
-      announced
-  in
-  let announced_paths = List.map fst announced in
-  let is_announced p = List.exists (String.equal p) announced_paths in
-  let new_jobs =
-    List.filter_map
-      (fun (path, content) ->
-        if is_announced path then None
-        else
-          Some { path; content; fp = Fp.of_string content; has_old = false })
-      t.files
-  in
-  let new_jobs =
-    List.sort (fun a b -> String.compare a.path b.path) new_jobs
-  in
-  let verdict =
-    Meta_wire.encode_verdict ~bits
-      ~new_paths:(List.map (fun j -> j.path) new_jobs)
-  in
-  t.queue <- List.rev !changed @ new_jobs;
-  (* A resume bitmap from an interrupted session against the same root
-     marks jobs whose verified content the client already holds: drop
-     them from the queue instead of re-transferring.  The Bye root check
-     still covers the skipped files, so a stale claim fails typed.  A
-     mismatched root or bitmap length means the world changed under the
-     client — ignore the token and serve everything. *)
-  (match t.pending_resume with
+(* A resume bitmap from an interrupted session against the same root
+   marks jobs whose verified content the client already holds: drop
+   them instead of re-transferring.  The Bye root check still covers
+   the skipped files, so a stale claim fails typed.  A mismatched root
+   or bitmap length means the world changed under the client — ignore
+   the token and serve everything. *)
+let drop_resumed t ~announced ~new_jobs jobs =
+  match t.pending_resume with
   | Some (rroot, bitmap) when Fp.equal rroot t.root ->
-      let count = List.length announced + List.length new_jobs in
+      let n_announced = List.length announced in
+      let count = n_announced + List.length new_jobs in
       if Int.equal (String.length bitmap) ((count + 7) / 8) then begin
         let flags = Msg.decode_bitmap ~count bitmap in
         let done_paths = Hashtbl.create 8 in
@@ -254,48 +208,87 @@ let on_announce t body =
           announced;
         List.iteri
           (fun i j ->
-            if flags.(List.length announced + i) then
+            if flags.(n_announced + i) then
               Hashtbl.replace done_paths j.path ())
           new_jobs;
-        let before = List.length t.queue in
-        t.queue <-
-          List.filter (fun j -> not (Hashtbl.mem done_paths j.path)) t.queue;
-        t.resumed_jobs <- before - List.length t.queue;
+        let kept =
+          List.filter (fun (_, j) -> not (Hashtbl.mem done_paths j.path)) jobs
+        in
+        t.resumed_jobs <- List.length jobs - List.length kept;
         if t.resumed_jobs > 0 then begin
           Scope.incr t.scope "srv_session_resumes";
           Scope.add t.scope "resume_files_skipped" t.resumed_jobs
-        end
+        end;
+        kept
       end
-  | Some _ | None -> ());
+      else jobs
+  | Some _ | None -> jobs
+
+(* The verdict fixes the slot space both ends share: one slot per
+   announced path it marks as not up to date (announce order; a path
+   gone from the collection keeps its slot but never opens), then one
+   per new path (path order).  Every job opens at once and runs in
+   lockstep ({!Batch}). *)
+let on_announce t body =
+  let announced = Meta_wire.decode_announce body in
+  let is_announced = Hashtbl.create (List.length announced) in
+  let slot = ref 0 in
+  let changed = ref [] in
+  let bits =
+    List.map
+      (fun (path, client_fp) ->
+        Hashtbl.replace is_announced path ();
+        match Hashtbl.find_opt t.by_path path with
+        | None ->
+            (* gone from the collection: the client deletes it *)
+            incr slot;
+            false
+        | Some content ->
+            let fp = Fp.of_string content in
+            if Fp.equal fp client_fp then true
+            else begin
+              changed :=
+                (!slot, { path; content; fp; has_old = true }) :: !changed;
+              incr slot;
+              false
+            end)
+      announced
+  in
+  let new_jobs =
+    List.sort
+      (fun a b -> String.compare a.path b.path)
+      (List.filter_map
+         (fun (path, content) ->
+           if Hashtbl.mem is_announced path then None
+           else
+             Some { path; content; fp = Fp.of_string content; has_old = false })
+         t.files)
+  in
+  let verdict =
+    Meta_wire.encode_verdict ~bits
+      ~new_paths:(List.map (fun j -> j.path) new_jobs)
+  in
+  let jobs =
+    List.rev_append !changed (List.mapi (fun i j -> (!slot + i, j)) new_jobs)
+  in
+  let jobs = drop_resumed t ~announced ~new_jobs jobs in
   t.pending_resume <- None;
-  Msg.Verdict verdict :: advance t
-
-let on_matched t sf bitmap =
-  let replies = Serve_file.on_matched sf bitmap in
-  (match Serve_file.expecting sf with
-  | `Ack -> t.phase <- Expect_ack sf
-  | `Matched | `Done -> ());
-  replies
-
-let on_ack t sf ok =
-  match
-    try Serve_file.on_ack sf ok
-    with e ->
-      t.phase <- Failed;
-      raise e
-  with
-  | `Complete -> advance t
-  | `Replies ms -> ms
+  let batch =
+    Batch.Serve.create ~who:"Session" ~make:(open_job t)
+      ~slots:(!slot + List.length new_jobs)
+      jobs
+  in
+  t.phase <- Transfer batch;
+  let frames = Batch.Serve.start batch in
+  (Msg.Verdict verdict :: frames) @ close_if_complete t batch
 
 (* ---- push direction: the client uploads, the store deduplicates ---- *)
 
 let on_push_begin t ~path ~file_len ~fp ~manifest =
   let total = List.fold_left (fun acc (_, l) -> acc + l) 0 manifest in
-  if not (Int.equal total file_len) then begin
-    t.phase <- Failed;
+  if not (Int.equal total file_len) then
     Error.malformed "Session: push manifest for %s sums to %d, file is %d"
-      path total file_len
-  end;
+      path total file_len;
   (* Residency decides the bitmap: without a store every chunk is
      needed, with one only the chunks nobody ever uploaded are. *)
   let needed =
@@ -324,13 +317,11 @@ let on_push_begin t ~path ~file_len ~fp ~manifest =
    bitmap and the read): ask the client for everything once, then give
    up with a typed verification failure. *)
 let retry_or_fail t pf what =
-  if pf.p_retried then begin
-    t.phase <- Failed;
+  if pf.p_retried then
     Error.fail
       (Error.Verification_failed
          (Printf.sprintf "Session: push of %s failed after store retry (%s)"
             pf.p_path what))
-  end
   else begin
     pf.p_retried <- true;
     Array.fill pf.p_needed 0 (Array.length pf.p_needed) true;
@@ -350,20 +341,16 @@ let on_chunk_data t pf z =
       | Some _ -> ()
       | None ->
           if pf.p_needed.(i) then begin
-            if !cursor + len > String.length literals then begin
-              t.phase <- Failed;
+            if !cursor + len > String.length literals then
               Error.truncated
-                "Session: push literals for %s end inside chunk %d" pf.p_path i
-            end;
+                "Session: push literals for %s end inside chunk %d" pf.p_path i;
             let chunk = String.sub literals !cursor len in
             cursor := !cursor + len;
             (* An uploaded chunk that does not hash to its manifest key
                is the client's fault — typed teardown, no retry. *)
-            if not (Fp.equal (Fp.of_string chunk) cfp) then begin
-              t.phase <- Failed;
+            if not (Fp.equal (Fp.of_string chunk) cfp) then
               Error.malformed "Session: pushed chunk %d of %s fails its hash"
-                i pf.p_path
-            end;
+                i pf.p_path;
             received := chunk :: !received;
             Buffer.add_string buf chunk
           end
@@ -384,12 +371,10 @@ let on_chunk_data t pf z =
   match !store_miss with
   | Some what -> retry_or_fail t pf what
   | None ->
-      if not (Int.equal !cursor (String.length literals)) then begin
-        t.phase <- Failed;
+      if not (Int.equal !cursor (String.length literals)) then
         Error.malformed "Session: %d stray literal bytes after push of %s"
           (String.length literals - !cursor)
-          pf.p_path
-      end;
+          pf.p_path;
       let content = Buffer.contents buf in
       if not (Fp.equal (Fp.of_string content) pf.p_fp) then
         retry_or_fail t pf "assembled file fails its fingerprint"
@@ -408,63 +393,58 @@ let on_chunk_data t pf z =
         t.pushed_files <- t.pushed_files + 1;
         Scope.incr t.scope "push_files";
         t.phase <- Expect_push;
-        [ Msg.File_ack true ]
+        [ Msg.File_ack [ (0, true) ] ]
       end
 
+let dispatch t msg =
+  match (t.phase, msg) with
+  | Expect_hello, Msg.Hello { version; trace; swarm = _ } ->
+      Handshake.check_version ~who:"Session" version;
+      (* Adopt the client's trace id, or mint one for a client that
+         sent none — the event log wants every session identifiable
+         either way. *)
+      let id = Handshake.adopt_trace trace in
+      t.trace_id <- Some id;
+      (match Scope.registry t.trace with
+      | Some reg ->
+          Fsync_obs.Registry.set_trace reg ~trace:(Trace_id.to_hex id)
+            ~role:"server"
+      | None -> ());
+      t.span_session <- Scope.enter t.trace "session";
+      t.phase <- Expect_announce;
+      [
+        Handshake.welcome ~client_version:version
+          ~file_count:(List.length t.files) ~root:t.root ~config:t.config;
+      ]
+  | Expect_announce, Msg.Resume { root; bitmap } ->
+      t.pending_resume <- Some (root, bitmap);
+      []
+  | Expect_announce, Msg.Announce body -> on_announce t body
+  | Transfer batch, ((Msg.Matched _ | Msg.File_ack _) as m) ->
+      let replies = Batch.Serve.on_message batch m in
+      replies @ close_if_complete t batch
+  | ( (Expect_announce | Expect_push),
+      Msg.Push_begin { path; file_len; fp; manifest } ) ->
+      on_push_begin t ~path ~file_len ~fp ~manifest
+  | Expect_chunks pf, Msg.Chunk_data z -> on_chunk_data t pf z
+  | (Expect_announce | Expect_push), Msg.Push_done ->
+      t.phase <- Done;
+      [ Msg.Bye { root = Meta_wire.collection_root (List.rev t.pushed) } ]
+  | _, Msg.Error_msg m ->
+      Error.fail
+        (Error.Disconnected (Printf.sprintf "Session: peer error: %s" m))
+  | _, other -> Error.malformed "Session: unexpected %s" (Msg.label other)
+
 let on_message t raw =
-  let msg = Msg.decode ~config:t.config raw in
-  let dispatch () =
-    match (t.phase, msg) with
-    | Expect_hello, Msg.Hello { version; trace; swarm = _ } ->
-        (try Handshake.check_version ~who:"Session" version
-         with e ->
-           t.phase <- Failed;
-           raise e);
-        (* Adopt the client's trace id, or mint one for a v1 peer that
-           sent none — the event log wants every session identifiable
-           either way. *)
-        let id = Handshake.adopt_trace trace in
-        t.trace_id <- Some id;
-        (match Scope.registry t.trace with
-        | Some reg ->
-            Fsync_obs.Registry.set_trace reg ~trace:(Trace_id.to_hex id)
-              ~role:"server"
-        | None -> ());
-        t.span_session <- Scope.enter t.trace "session";
-        t.phase <- Expect_announce;
-        [
-          Handshake.welcome ~client_version:version
-            ~file_count:(List.length t.files) ~root:t.root ~config:t.config;
-        ]
-    | Expect_announce, Msg.Resume { root; bitmap } ->
-        t.pending_resume <- Some (root, bitmap);
-        []
-    | Expect_announce, Msg.Announce body -> on_announce t body
-    | Expect_matched st, Msg.Matched bitmap -> on_matched t st bitmap
-    | Expect_ack ack, Msg.File_ack ok -> on_ack t ack ok
-    | (Expect_announce | Expect_push), Msg.Push_begin { path; file_len; fp; manifest }
-      ->
-        on_push_begin t ~path ~file_len ~fp ~manifest
-    | Expect_chunks pf, Msg.Chunk_data z -> on_chunk_data t pf z
-    | (Expect_announce | Expect_push), Msg.Push_done ->
-        t.phase <- Done;
-        [ Msg.Bye { root = Meta_wire.collection_root (List.rev t.pushed) } ]
-    | _, Msg.Error_msg m ->
-        t.phase <- Failed;
-        Error.fail
-          (Error.Disconnected (Printf.sprintf "Session: peer error: %s" m))
-    | _, other ->
-        t.phase <- Failed;
-        Error.malformed "Session: unexpected %s" (Msg.label other)
-  in
   let replies =
     try
-      let replies = dispatch () in
+      let replies = dispatch t (Msg.decode ~config:t.config raw) in
       sync_phase t;
       replies
     with e ->
-      (* Typed teardowns set [Failed] before raising; close the spans so
-         a partial trace still exports well-nested. *)
+      (* Any error is a teardown: fail the machine and close the spans
+         so a partial trace still exports well-nested. *)
+      t.phase <- Failed;
       end_phases t;
       raise e
   in

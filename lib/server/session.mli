@@ -8,11 +8,12 @@
     tests drive the very same logic over an in-memory channel for
     byte-parity checks.
 
-    Phases mirror the protocol: hello, announce, then one file at a
-    time — hash rounds against the mirrored {!Fsync_core.Block_tree}
-    until {!Msg.decide_next} says tail, then the client's ack (a failed
-    ack triggers one verified [Full] fallback) — and finally [Bye] with
-    the collection root.
+    Phases mirror the protocol: hello, announce, then every changed and
+    new file at once, in lockstep through {!Batch.Serve} — one turn per
+    round, each file's hash rounds against its mirrored
+    {!Fsync_core.Block_tree} until {!Msg.decide_next} says tail, then
+    the client's ack (a failed ack triggers one verified [Full]
+    fallback) — and finally [Bye] with the collection root.
 
     The first message after [Welcome] picks the direction: [Announce]
     starts a pull as above, [Push_begin] starts an upload.  A push runs

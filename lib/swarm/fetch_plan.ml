@@ -1,14 +1,14 @@
 module Error = Fsync_core.Error
 module Msg = Fsync_server.Msg
+module Batch = Fsync_server.Batch
 module Fetch_file = Fsync_server.Fetch_file
-module Meta_wire = Fsync_collection.Meta_wire
 
 type t = {
   replica : Replica.t;
   counters : Fetch_file.counters;
   config : unit -> Msg.sync_config;
   mutable queue : Plan.install list;
-  mutable current : (Plan.install * Fetch_file.t option) option;
+  mutable batch : Batch.Fetch.t option;
   pulled : (string, string) Hashtbl.t; (* dest -> fetched content *)
 }
 
@@ -18,7 +18,7 @@ let create ~config replica =
     counters = Fetch_file.fresh_counters ();
     config;
     queue = [];
-    current = None;
+    batch = None;
     pulled = Hashtbl.create 16;
   }
 
@@ -38,71 +38,52 @@ let enqueue t installs =
           | Plan.Local _ | Plan.Absent -> false)
         installs
 
-let advance t =
-  t.current <- None;
+let start t =
   match t.queue with
-  | [] -> `Drained
-  | inst :: rest ->
-      t.queue <- rest;
-      t.current <- Some (inst, None);
-      let src = src_of inst in
-      let has_old =
-        Option.is_some (Replica.content t.replica inst.Plan.dest)
-        || Option.is_some (Replica.content t.replica src)
+  | [] -> []
+  | queue ->
+      let installs = Array.of_list queue in
+      (* The old copy to match against: what the destination holds, or
+         else the source path's local bytes. *)
+      let olds =
+        Array.map
+          (fun (i : Plan.install) ->
+            match Replica.content t.replica i.dest with
+            | Some _ as o -> o
+            | None -> Replica.content t.replica (src_of i))
+          installs
       in
-      `Msgs
-        [ Msg.Swarm_fetch (Swarm_wire.encode_fetch { path = src; has_old }) ]
-
-let current t =
-  match t.current with
-  | Some cur -> cur
-  | None -> Error.malformed "Fetch_plan: file message outside a fetch"
-
-let on_begin t ~path ~new_len ~fp =
-  match current t with
-  | _, Some _ -> Error.malformed "Fetch_plan: nested File_begin"
-  | inst, None ->
-      let src = src_of inst in
-      if not (String.equal path src) then
-        Error.malformed "Fetch_plan: File_begin for %s, requested %s" path src;
-      let old =
-        match Replica.content t.replica inst.Plan.dest with
-        | Some o -> o
-        | None -> (
-            match Replica.content t.replica src with
-            | Some o -> o
-            | None -> "")
-      in
-      t.current <-
+      t.batch <-
         Some
-          ( inst,
-            Some
-              (Fetch_file.create ~who:"Fetch_plan" ~config:(t.config ())
-                 ~counters:t.counters ~path ~new_len ~fp ~old) );
-      []
+          (Batch.Fetch.create ~who:"Fetch_plan" ~config:(t.config ())
+             ~counters:t.counters
+             ~path:(fun i -> src_of installs.(i))
+             ~old:(fun i -> Option.value olds.(i) ~default:"")
+             ~on_file:(fun i content ->
+               Hashtbl.replace t.pulled installs.(i).Plan.dest content)
+             ~slots:(Array.length installs));
+      [
+        Msg.Swarm_fetch
+          (Swarm_wire.encode_fetch
+             (Array.to_list
+                (Array.mapi
+                   (fun i inst ->
+                     {
+                       Swarm_wire.path = src_of inst;
+                       has_old = Option.is_some olds.(i);
+                     })
+                   installs)));
+      ]
 
-let on_hashes t hs =
-  match current t with
-  | _, Some ff -> Fetch_file.on_hashes ff hs
-  | _, None -> Error.malformed "Fetch_plan: Hashes before File_begin"
+let on_message t msg =
+  match t.batch with
+  | Some b -> Batch.Fetch.on_message b msg
+  | None -> Error.malformed "Fetch_plan: %s with no fetch open" (Msg.label msg)
 
-let on_tail t z =
-  match current t with
-  | inst, Some ff -> (
-      match Fetch_file.on_tail ff z with
-      | `Verified content, replies ->
-          Hashtbl.replace t.pulled inst.Plan.dest content;
-          (`Done, replies)
-      | `Mismatch, replies -> (`Wait, replies))
-  | _, None -> Error.malformed "Fetch_plan: Tail before File_begin"
-
-let on_full t body =
-  let inst, _ = current t in
-  let path, content = Meta_wire.decode_file_msg ~old_content:"" body in
-  if not (String.equal path (src_of inst)) then
-    Error.malformed "Fetch_plan: Full for %s, requested %s" path (src_of inst);
-  Hashtbl.replace t.pulled inst.Plan.dest content;
-  [ Msg.File_ack true ]
+let complete t =
+  match t.batch with
+  | Some b -> Batch.Fetch.complete b
+  | None -> List.is_empty t.queue
 
 let pulled t dest = Hashtbl.find_opt t.pulled dest
 let count t = Hashtbl.length t.pulled

@@ -5,6 +5,7 @@ module Merkle = Fsync_reconcile.Merkle
 module Msg = Fsync_server.Msg
 module Handshake = Fsync_server.Handshake
 module Serve_file = Fsync_server.Serve_file
+module Batch = Fsync_server.Batch
 module Sigcache = Fsync_server.Sigcache
 
 (* The responder expands a differing range to its leaves once it covers
@@ -35,7 +36,7 @@ type common = {
   mutable peer_id : string option;
   mutable installs : Plan.install list;
   fetch : Fetch_plan.t;
-  mutable serve_current : Serve_file.t option;
+  mutable serve : Batch.Serve.t option; (* the peer's fetches, once asked *)
   mutable conflicts : int;
   mutable applied : int;
   mutable bytes_in : int;
@@ -57,7 +58,7 @@ let common ?(policy = Resolve.default) ?(scope = Scope.disabled)
     peer_id = None;
     installs = [];
     fetch = Fetch_plan.create ~config:(fun () -> !config) replica;
-    serve_current = None;
+    serve = None;
     conflicts = 0;
     applied = 0;
     bytes_in = 0;
@@ -142,45 +143,45 @@ let compute_plan c pairs =
   c.installs <- c.installs @ installs;
   Fetch_plan.enqueue c.fetch installs
 
-(* ---- the fetching side of a transfer phase ---- *)
-
-let advance_fetch c = Fetch_plan.advance c.fetch
-let fetch_on_begin c ~path ~new_len ~fp = Fetch_plan.on_begin c.fetch ~path ~new_len ~fp
-let fetch_on_hashes c hs = Fetch_plan.on_hashes c.fetch hs
-let fetch_on_tail c z = Fetch_plan.on_tail c.fetch z
-let fetch_on_full c body = Fetch_plan.on_full c.fetch body
-
 (* ---- the serving side of a transfer phase ---- *)
 
+(* The peer asks for every file of its phase in one [Swarm_fetch]; each
+   request's position is its slot, and all of them run in lockstep. *)
 let serve_on_fetch c body =
-  (match c.serve_current with
-  | Some _ -> Error.malformed "Gossip: overlapping fetch requests"
-  | None -> ());
-  let { Swarm_wire.path; has_old } = Swarm_wire.decode_fetch body in
-  match Replica.content c.replica path with
-  | None -> Error.malformed "Gossip: fetch of absent path %s" path
-  | Some content ->
-      let sf =
+  if Option.is_some c.serve then
+    Error.malformed "Gossip: overlapping fetch requests";
+  let fetches = Swarm_wire.decode_fetch body in
+  let jobs =
+    List.mapi
+      (fun i { Swarm_wire.path; has_old } ->
+        match Replica.content c.replica path with
+        | None -> Error.malformed "Gossip: fetch of absent path %s" path
+        | Some content ->
+            let fp = Fp.of_string content in
+            (i, { Serve_file.path; content; fp; has_old }))
+      fetches
+  in
+  let batch =
+    Batch.Serve.create ~who:"Gossip"
+      ~make:(fun job ->
         Serve_file.create ~who:"Gossip" ~config:!(c.config) ~cache:c.cache
-          ~counters:c.serve_counters
-          { path; content; fp = Fp.of_string content; has_old }
-      in
-      c.serve_current <- Some sf;
-      Serve_file.start sf
+          ~counters:c.serve_counters job)
+      ~slots:(List.length fetches) jobs
+  in
+  c.serve <- Some batch;
+  Batch.Serve.start batch
 
-let current_serve c =
-  match c.serve_current with
-  | Some sf -> sf
+let serve_on_reply c msg =
+  match c.serve with
+  | Some batch -> Batch.Serve.on_message batch msg
   | None -> Error.malformed "Gossip: reply with no open serve"
 
-let serve_on_matched c bitmap = Serve_file.on_matched (current_serve c) bitmap
-
-let serve_on_ack c ok =
-  match Serve_file.on_ack (current_serve c) ok with
-  | `Complete ->
-      c.serve_current <- None;
-      `Complete
-  | `Replies ms -> `Replies ms
+(* The peer may only move on once everything it asked for is acked. *)
+let check_served c =
+  match c.serve with
+  | Some batch when not (Batch.Serve.complete batch) ->
+      Error.malformed "Gossip: peer moved on with fetches in flight"
+  | Some _ | None -> ()
 
 (* ---- apply ---- *)
 
@@ -310,21 +311,20 @@ module Initiator = struct
     in
     List.map (fun p -> (p, Replica.find t.c.replica p)) paths
 
+  let end_pull t replies =
+    t.phase <- Serving;
+    replies @ [ Msg.Swarm_end ]
+
   let begin_pull t =
-    match advance_fetch t.c with
-    | `Msgs ms ->
+    match Fetch_plan.start t.c.fetch with
+    | [] -> end_pull t []
+    | ms ->
         t.phase <- Pulling;
         ms
-    | `Drained ->
-        t.phase <- Serving;
-        [ Msg.Swarm_end ]
 
-  let after_fetch t =
-    match advance_fetch t.c with
-    | `Msgs ms -> ms
-    | `Drained ->
-        t.phase <- Serving;
-        [ Msg.Swarm_end ]
+  let on_fetch_frame t msg =
+    let replies = Fetch_plan.on_message t.c.fetch msg in
+    if Fetch_plan.complete t.c.fetch then end_pull t replies else replies
 
   let on_bye t root =
     apply t.c;
@@ -347,9 +347,6 @@ module Initiator = struct
       match (t.phase, msg) with
       | Expect_welcome, Msg.Welcome { version; config; _ } ->
           Handshake.check_version ~who:"Gossip" version;
-          if version < 3 then
-            Error.malformed
-              "Gossip: peer answered at rev %d, the swarm needs rev 3" version;
           t.c.config := config;
           t.phase <- Expect_greet;
           []
@@ -399,23 +396,14 @@ module Initiator = struct
       | Expect_table, Msg.Swarm_table body ->
           compute_plan t.c (Swarm_wire.decode_table body);
           begin_pull t
-      | Pulling, Msg.File_begin { path; new_len; fp } ->
-          fetch_on_begin t.c ~path ~new_len ~fp
-      | Pulling, Msg.Hashes hs -> fetch_on_hashes t.c hs
-      | Pulling, Msg.Tail z -> (
-          match fetch_on_tail t.c z with
-          | `Done, replies -> replies @ after_fetch t
-          | `Wait, replies -> replies)
-      | Pulling, Msg.Full body ->
-          let replies = fetch_on_full t.c body in
-          replies @ after_fetch t
+      | Pulling, (Msg.File_begin _ | Msg.Hashes _ | Msg.Tail _ | Msg.Full _)
+        ->
+          on_fetch_frame t msg
       | Serving, Msg.Swarm_fetch body -> serve_on_fetch t.c body
-      | Serving, Msg.Matched bitmap -> serve_on_matched t.c bitmap
-      | Serving, Msg.File_ack ok -> (
-          match serve_on_ack t.c ok with
-          | `Complete -> []
-          | `Replies ms -> ms)
-      | Serving, Msg.Bye { root } -> on_bye t root
+      | Serving, (Msg.Matched _ | Msg.File_ack _) -> serve_on_reply t.c msg
+      | Serving, Msg.Bye { root } ->
+          check_served t.c;
+          on_bye t root
       | _, Msg.Error_msg m ->
           t.phase <- Failed;
           Error.fail
@@ -459,11 +447,11 @@ module Responder = struct
     [ Msg.Bye { root = Replica.summary t.c.replica } ]
 
   let begin_push t =
-    match advance_fetch t.c with
-    | `Msgs ms ->
+    match Fetch_plan.start t.c.fetch with
+    | [] -> finish t
+    | ms ->
         t.phase <- Pushing;
         ms
-    | `Drained -> finish t
 
   let on_message t raw =
     account_in t.c raw;
@@ -477,9 +465,6 @@ module Responder = struct
               Error.malformed
                 "Gossip: plain Hello on a swarm endpoint (route to Session)"
           | Some { Msg.peer; summary = _ } ->
-              if version < 3 then
-                Error.malformed
-                  "Gossip: swarm extension from a rev-%d peer" version;
               t.c.peer_id <- Some peer;
               Scope.incr t.c.scope "gossip_sessions";
               t.phase <- Serving;
@@ -521,31 +506,15 @@ module Responder = struct
           compute_plan t.c theirs;
           [ Msg.Swarm_table (Swarm_wire.encode_table mine) ]
       | Serving, Msg.Swarm_fetch body -> serve_on_fetch t.c body
-      | Serving, Msg.Matched bitmap -> serve_on_matched t.c bitmap
-      | Serving, Msg.File_ack ok -> (
-          match serve_on_ack t.c ok with
-          | `Complete -> []
-          | `Replies ms -> ms)
-      | Serving, Msg.Swarm_end -> begin_push t
-      | Pushing, Msg.File_begin { path; new_len; fp } ->
-          fetch_on_begin t.c ~path ~new_len ~fp
-      | Pushing, Msg.Hashes hs -> fetch_on_hashes t.c hs
-      | Pushing, Msg.Tail z -> (
-          match fetch_on_tail t.c z with
-          | `Done, replies -> (
-              replies
-              @
-              match advance_fetch t.c with
-              | `Msgs ms -> ms
-              | `Drained -> finish t)
-          | `Wait, replies -> replies)
-      | Pushing, Msg.Full body -> (
-          let replies = fetch_on_full t.c body in
-          replies
-          @
-          match advance_fetch t.c with
-          | `Msgs ms -> ms
-          | `Drained -> finish t)
+      | Serving, (Msg.Matched _ | Msg.File_ack _) -> serve_on_reply t.c msg
+      | Serving, Msg.Swarm_end ->
+          check_served t.c;
+          begin_push t
+      | Pushing, (Msg.File_begin _ | Msg.Hashes _ | Msg.Tail _ | Msg.Full _)
+        ->
+          let replies = Fetch_plan.on_message t.c.fetch msg in
+          if Fetch_plan.complete t.c.fetch then replies @ finish t
+          else replies
       | _, Msg.Error_msg m ->
           t.phase <- Failed;
           Error.fail

@@ -1,8 +1,8 @@
 (** One anti-entropy exchange between two peers over the fsyncd/1 wire
-    (protocol rev 3, DESIGN.md §13), as a pair of pure message-in /
-    messages-out state machines — the swarm's counterpart of
-    {!Fsync_server.Session} and {!Fsync_server.Puller}, sharing their
-    per-file transfer machinery ({!Fsync_server.Serve_file} /
+    (DESIGN.md §13), as a pair of pure message-in / messages-out state
+    machines — the swarm's counterpart of {!Fsync_server.Session} and
+    {!Fsync_server.Puller}, sharing their transfer machinery (the
+    {!Fsync_server.Batch} driver over {!Fsync_server.Serve_file} /
     {!Fsync_server.Fetch_file}) byte for byte.
 
     Session shape (initiator ⇄ responder):
@@ -14,10 +14,12 @@
       range queries (one frame per level) until it holds the symmetric
       difference, then both sides exchange entry tables and compute the
       {e same} {!Plan} independently;
-    + the initiator pulls its [Remote] installs one file at a time
-      (multiround hash protocol, verified [Full] fallback), then
-      [Swarm_end] hands the wire to the responder, which pulls its own
-      installs in the opposite direction;
+    + the initiator requests all its [Remote] installs in one
+      [Swarm_fetch] and pulls them in lockstep (multiround hash
+      protocol, one round trip per level for the whole phase, verified
+      [Full] fallback), then [Swarm_end] hands the wire to the
+      responder, which pulls its own installs the same way in the
+      opposite direction;
     + the responder applies its plan, answers [Bye] with its post-apply
       root; the initiator applies, and fails typed
       ([Verification_failed]) unless the roots now match.

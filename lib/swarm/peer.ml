@@ -31,7 +31,7 @@ type config = {
 let default_config =
   {
     sync = Msg.default_sync_config;
-    max_outbox = 4 * 1024 * 1024;
+    max_outbox = Conn.default_max_outbox;
     session_timeout_s = 30.0;
   }
 

@@ -3,10 +3,10 @@
 
     The serving loop speaks both dialects of fsyncd/1 on one port: the
     first frame of every connection routes it — a [Hello] carrying the
-    rev-3 swarm extension starts a {!Gossip.Responder} (anti-entropy
-    exchange against the replica), a plain [Hello] starts an ordinary
-    read-only {!Fsync_server.Session} over the replica's current files,
-    so rev-2 clients can still pull from a swarm member.  Gossip applies
+    swarm extension starts a {!Gossip.Responder} (anti-entropy exchange
+    against the replica), a plain [Hello] starts an ordinary read-only
+    {!Fsync_server.Session} over the replica's current files, so plain
+    clients can pull from a swarm member.  Gossip applies
     mutate the replica in place; sessions opened afterwards serve the
     converged state.
 

@@ -85,10 +85,6 @@ let finish_pull t =
   t.phase <- Expect_bye;
   [ Msg.Swarm_end ]
 
-let after_fetch t =
-  match Fetch_plan.advance t.fetch with
-  | `Msgs ms -> ms
-  | `Drained -> finish_pull t
 
 let apply t =
   let resolved =
@@ -127,9 +123,6 @@ let on_message t raw =
     match (t.phase, msg) with
     | Expect_welcome, Msg.Welcome { version; config; _ } ->
         Handshake.check_version ~who:"Repair" version;
-        if version < 3 then
-          Error.malformed
-            "Repair: peer answered at rev %d, read-repair needs rev 3" version;
         t.config := config;
         t.phase <- Expect_greet;
         []
@@ -159,21 +152,15 @@ let on_message t raw =
         end;
         t.installs <- o.Plan.installs;
         Fetch_plan.enqueue t.fetch t.installs;
-        match Fetch_plan.advance t.fetch with
-        | `Msgs ms ->
+        match Fetch_plan.start t.fetch with
+        | [] -> finish_pull t
+        | ms ->
             t.phase <- Pulling;
-            ms
-        | `Drained -> finish_pull t)
-    | Pulling, Msg.File_begin { path; new_len; fp } ->
-        Fetch_plan.on_begin t.fetch ~path ~new_len ~fp
-    | Pulling, Msg.Hashes hs -> Fetch_plan.on_hashes t.fetch hs
-    | Pulling, Msg.Tail z -> (
-        match Fetch_plan.on_tail t.fetch z with
-        | `Done, replies -> replies @ after_fetch t
-        | `Wait, replies -> replies)
-    | Pulling, Msg.Full body ->
-        let replies = Fetch_plan.on_full t.fetch body in
-        replies @ after_fetch t
+            ms)
+    | Pulling, (Msg.File_begin _ | Msg.Hashes _ | Msg.Tail _ | Msg.Full _) ->
+        let replies = Fetch_plan.on_message t.fetch msg in
+        if Fetch_plan.complete t.fetch then replies @ finish_pull t
+        else replies
     | Expect_bye, Msg.Bye _ ->
         (* The roots legitimately differ — only [path] was repaired. *)
         apply t;

@@ -1,7 +1,7 @@
 (** Quorum read-repair for a single path ([fsync swarm repair PATH]).
 
     One [t] is one probe session against one peer, as a message-in /
-    messages-out machine over the rev-3 wire: Hello (swarm extension)
+    messages-out machine over the fsyncd/1 wire: Hello (swarm extension)
     ⇄ Welcome + greeting, then a [Swarm_query] for the path, the peer's
     single-entry [Swarm_table] answer, a {!Plan.decide} against the
     local entry, any [Remote] content pulls, and [Swarm_end] ⇄ [Bye]

@@ -218,17 +218,27 @@ let decode_table msg =
 
 type fetch = { path : string; has_old : bool }
 
-let encode_fetch { path; has_old } =
+(* One request per slot, in slot order, up to the end of the body. *)
+let encode_fetch fetches =
   let b = Buffer.create 64 in
-  put_string b path;
-  Buffer.add_char b (if has_old then '\001' else '\000');
+  List.iter
+    (fun { path; has_old } ->
+      put_string b path;
+      Buffer.add_char b (if has_old then '\001' else '\000'))
+    fetches;
   Buffer.contents b
 
 let decode_fetch msg =
-  let path, pos = get_string msg ~pos:0 "fetch path" in
-  if pos >= String.length msg then
-    Error.truncated "Swarm_wire: fetch flag overruns";
-  { path; has_old = Char.equal msg.[pos] '\001' }
+  let rec go pos acc =
+    if pos >= String.length msg then List.rev acc
+    else begin
+      let path, pos = get_string msg ~pos "fetch path" in
+      if pos >= String.length msg then
+        Error.truncated "Swarm_wire: fetch flag overruns";
+      go (pos + 1) ({ path; has_old = Char.equal msg.[pos] '\001' } :: acc)
+    end
+  in
+  go 0 []
 
 let encode_query path =
   let b = Buffer.create 64 in

@@ -1,4 +1,4 @@
-(** Codecs for the opaque bodies of the rev-3 swarm messages
+(** Codecs for the opaque bodies of the swarm messages
     ([Swarm_recon] / [Swarm_table] / [Swarm_query] / [Swarm_fetch] in
     {!Fsync_server.Msg}).
 
@@ -42,8 +42,12 @@ type fetch = { path : string; has_old : bool }
 (** A content request: [has_old] tells the server whether hash rounds
     against the requester's old copy are worth opening. *)
 
-val encode_fetch : fetch -> string
-val decode_fetch : string -> fetch
+val encode_fetch : fetch list -> string
+(** One [Swarm_fetch] carries every request of a transfer phase; the
+    request's position is its slot in the batched transfer that
+    answers it ({!Fsync_server.Batch}). *)
+
+val decode_fetch : string -> fetch list
 
 val encode_query : string -> string
 (** A read-repair entry probe: just the path. *)

@@ -31,6 +31,19 @@ let mutate_some seed files =
             content ))
     files
 
+(* Every file edited: a pull of these runs hash rounds and tails. *)
+let mutate_all seed files =
+  let rng = Prng.create (Int64.of_int ((seed * 41) + 3)) in
+  List.map
+    (fun (path, content) ->
+      ( path,
+        Fsync_workload.Edit_model.mutate rng
+          ~profile:Fsync_workload.Edit_model.medium
+          ~gen_text:(fun rng n ->
+            String.init n (fun _ -> Char.chr (97 + Prng.int rng 26)))
+          content ))
+    files
+
 let sorted files =
   List.sort (fun (a, _) (b, _) -> String.compare a b) files
 
@@ -58,13 +71,15 @@ let test_msg_roundtrip () =
         { version = 1; file_count = 42; root = fp; config = cfg };
       Msg.Announce "announce-bytes";
       Msg.Verdict "verdict-bytes";
-      Msg.File_begin { path = "a/b.txt"; new_len = 123_456; fp };
-      Msg.Hashes [| 0; 1; 0x3fffffff; 12345 |];
-      Msg.Matched "\x80\x01";
-      Msg.Tail "literals";
-      Msg.Full "full-bytes";
-      Msg.File_ack true;
-      Msg.File_ack false;
+      Msg.File_begin
+        [ (0, { Msg.new_len = 123_456; fp }); (7, { Msg.new_len = 0; fp }) ];
+      Msg.Hashes [ (2, [| 0; 1; 0x3fffffff; 12345 |]); (300, [||]) ];
+      Msg.Hashes [];
+      Msg.Matched [ (0, "\x80\x01"); (5, "") ];
+      Msg.Tail { slot = 3; literals = "literals" };
+      Msg.Full { slot = 1000; body = "full-bytes" };
+      Msg.File_ack [ (0, true) ];
+      Msg.File_ack [ (1, false); (2, true); (129, false) ];
       Msg.Bye { root = fp };
       Msg.Error_msg "went wrong";
       Msg.Push_begin
@@ -94,11 +109,16 @@ let test_msg_malformed () =
   expect_error "L";
   expect_error "B\x05ab";
   (* hash array overrunning the message *)
-  expect_error "S\x7f";
+  expect_error "S\x00\x7f";
   (* hostile varint count (2^61): [count * width] would overflow
      negative and slip past a sum-based bounds check *)
-  expect_error "S\x80\x80\x80\x80\x80\x80\x80\x80\x20abcd";
-  expect_error "K"
+  expect_error "S\x00\x80\x80\x80\x80\x80\x80\x80\x80\x20abcd";
+  (* batch items: a repeated or descending slot, a truncated varint *)
+  expect_error "K\x03\x03";
+  expect_error "K\x05\x03";
+  expect_error "M\x01\x00\x01\x00";
+  expect_error "K\x80";
+  expect_error "T"
 
 let test_bitmap_roundtrip () =
   let cases =
@@ -116,6 +136,148 @@ let test_bitmap_roundtrip () =
         "roundtrip" bits
         (Array.to_list (Msg.decode_bitmap ~count:(List.length bits) encoded)))
     cases
+
+(* ---- batch frames: the decoder and the drivers are total ---- *)
+
+let expect_typed what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Fsync_core.Error.E _ -> ()
+  | exception e -> Alcotest.failf "%s: untyped %s" what (Printexc.to_string e)
+
+let fetch_driver slots =
+  Batch.Fetch.create ~who:"test" ~config:cfg
+    ~counters:(Fetch_file.fresh_counters ())
+    ~path:(Printf.sprintf "p%d")
+    ~old:(fun _ -> "")
+    ~on_file:(fun _ _ -> ())
+    ~slots
+
+let test_batch_frames_rejected () =
+  let fp = Fp.of_string "x" in
+  let enc m = Msg.encode ~config:cfg m in
+  let decode raw () = Msg.decode ~config:cfg raw in
+  let item slot = (slot, { Msg.new_len = 100; fp }) in
+  (* duplicate slots *)
+  expect_typed "repeated begin slot" (decode (enc (Msg.File_begin [ item 1; item 1 ])));
+  expect_typed "repeated hashes slot"
+    (decode (enc (Msg.Hashes [ (2, [| 1 |]); (2, [| 2 |]) ])));
+  expect_typed "descending matched slots"
+    (decode (enc (Msg.Matched [ (4, "\x80"); (0, "\x80") ])));
+  expect_typed "repeated ack slot"
+    (decode (enc (Msg.File_ack [ (3, true); (3, false) ])));
+  (* item counts larger than the frame *)
+  expect_typed "hash count past the frame" (decode "S\x00\xe8\x07ab");
+  expect_typed "bitmap length past the frame" (decode "M\x00\x32ab");
+  expect_typed "hostile hash count"
+    (decode "S\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7fab");
+  (* trailing bytes that do not make a whole item *)
+  expect_typed "begin trailing byte" (decode (enc (Msg.File_begin [ item 0 ]) ^ "\x05"));
+  expect_typed "hashes trailing byte"
+    (decode (enc (Msg.Hashes [ (0, [| 7 |]) ]) ^ "\x07"));
+  expect_typed "matched trailing byte"
+    (decode (enc (Msg.Matched [ (0, "\x80") ]) ^ "\x09"));
+  expect_typed "ack trailing half varint" (decode (enc (Msg.File_ack [ (0, true) ]) ^ "\x80"));
+  (* slots at or past the in-flight count, and a slot twice in a turn,
+     are the drivers' to reject *)
+  let f = fetch_driver 3 in
+  expect_typed "begin past the slots" (fun () ->
+      Batch.Fetch.on_message f (Msg.File_begin [ item 3 ]));
+  expect_typed "tail past the slots" (fun () ->
+      Batch.Fetch.on_message f (Msg.Tail { slot = max_int; literals = "" }));
+  let body = Meta_wire.encode_file_msg ~path:"p0" ~fp:(Fp.of_string "a") ~tag:'R' ~body:"a" in
+  let f = fetch_driver 3 in
+  Alcotest.(check int) "full accepted" 0
+    (List.length (Batch.Fetch.on_message f (Msg.Full { slot = 0; body })));
+  expect_typed "slot twice in one turn" (fun () ->
+      Batch.Fetch.on_message f (Msg.Full { slot = 0; body }));
+  expect_typed "full for another slot's path" (fun () ->
+      Batch.Fetch.on_message (fetch_driver 3) (Msg.Full { slot = 1; body }));
+  expect_typed "empty server turn" (fun () ->
+      Batch.Fetch.on_message (fetch_driver 3) (Msg.Hashes []));
+  let serve =
+    Batch.Serve.create ~who:"test"
+      ~make:(Serve_file.create ~full_content:(fun _ -> None)
+               ~on_fallback:ignore ~who:"test" ~config:cfg
+               ~cache:(Sigcache.create ()) ~counters:(Serve_file.fresh_counters ()))
+      ~slots:2
+      [ (0, { Serve_file.path = "p0"; content = "a"; fp = Fp.of_string "a"; has_old = false }) ]
+  in
+  Alcotest.(check int) "opening turn: full + hashes" 2 (List.length (Batch.Serve.start serve));
+  expect_typed "ack past the slots" (fun () ->
+      Batch.Serve.on_message serve (Msg.File_ack [ (2, true) ]));
+  expect_typed "ack for an unopened slot" (fun () ->
+      Batch.Serve.on_message serve (Msg.File_ack [ (1, true) ]));
+  expect_typed "matched where an ack is due" (fun () ->
+      Batch.Serve.on_message serve (Msg.Matched [ (0, "") ]))
+
+(* A pull run up to its first transfer turn (every kind of server frame:
+   begin, full, hashes): fresh machines, the turn's frames after the
+   verdict, and the client's answer to them. *)
+let live_turn () =
+  let server_files = mk_files 17 5 in
+  let client_files = mutate_all 17 (List.filteri (fun i _ -> i < 4) server_files) in
+  let session = Session.create ~cache:(Sigcache.create ()) server_files in
+  let puller = Puller.create client_files in
+  let to_s = List.concat_map (Session.on_message session) in
+  let to_p = List.concat_map (Puller.on_message puller) in
+  match to_s (to_p (to_s (Puller.start puller))) with
+  | verdict :: frames ->
+      ignore (to_p [ verdict ]);
+      (session, puller, frames)
+  | [] -> Alcotest.fail "no verdict"
+
+let mutate_frame (pos, kind, junk) frame =
+  let n = String.length frame in
+  let i = 1 + (pos mod max 1 (n - 1)) in
+  match kind with
+  | 0 when n > 1 ->
+      String.mapi
+        (fun j c -> if Int.equal j i then Char.chr (Char.code c lxor (Char.code junk.[0] lor 1)) else c)
+        frame
+  | 1 -> String.sub frame 0 (min n i)
+  | 2 -> frame ^ junk
+  | _ -> frame ^ String.sub frame 1 (min (n - 1) i)
+
+let mutation_gen =
+  QCheck2.Gen.(
+    triple (int_bound 10_000) (int_bound 3)
+      (string_size ~gen:char (int_range 1 6)))
+
+(* Under [Error.guard] — what the daemon runs every frame through — a
+   mutated frame is accepted or fails typed; no other exception gets
+   out, and the bare decoder raises typed errors only. *)
+let typed_only feed frames =
+  List.iter
+    (fun raw ->
+      match Msg.decode ~config:cfg raw with
+      | _ | (exception Fsync_core.Error.E _) -> ())
+    frames;
+  match Fsync_core.Error.guard (fun () -> List.iter (fun f -> ignore (feed f)) frames) with
+  | Ok () | Error _ -> true
+
+let prop_mutated_server_turn =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:120 ~name:"mutated server turn: typed errors only"
+       mutation_gen (fun (which, kind, junk) ->
+         let _, puller, frames = live_turn () in
+         let k = which mod List.length frames in
+         let frames =
+           List.mapi (fun i f -> if Int.equal i k then mutate_frame (which, kind, junk) f else f) frames
+         in
+         typed_only (Puller.on_message puller) frames))
+
+let prop_mutated_client_turn =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:120 ~name:"mutated client turn: typed errors only"
+       mutation_gen (fun (which, kind, junk) ->
+         let session, puller, frames = live_turn () in
+         let answer = List.concat_map (Puller.on_message puller) frames in
+         let k = which mod List.length answer in
+         let answer =
+           List.mapi (fun i f -> if Int.equal i k then mutate_frame (which, kind, junk) f else f) answer
+         in
+         typed_only (Session.on_message session) answer))
 
 (* ---- Sigcache ---- *)
 
@@ -268,6 +430,85 @@ let test_loopback_matches_in_memory () =
   then
     Alcotest.failf "transport overhead %d of %d bytes (> 10%%)"
       (total_tcp - total_mem) total_mem
+
+(* Hash levels a file runs through: start_block, halved down to
+   min_block. *)
+let hash_levels (c : Msg.sync_config) =
+  let rec go size = if size < c.min_block then 0 else 1 + go (size / 2) in
+  go c.start_block
+
+let test_roundtrip_bound () =
+  (* Every file of a pull runs in lockstep, so the round trips are the
+     hash levels plus a fixed handful (hello, tails, acks, one full
+     fallback) whatever the file count. *)
+  let bound = 4 + hash_levels Msg.default_sync_config in
+  Alcotest.(check int) "ten with the default config" 10 bound;
+  List.iter
+    (fun n ->
+      let rng = Prng.create (Int64.of_int (300 + n)) in
+      let server_files =
+        List.init n (fun i ->
+            ( Printf.sprintf "src/m%03d.c" i,
+              Fsync_workload.Text_gen.c_like rng ~lines:(150 + Prng.int rng 150) ))
+      in
+      let client_files = mutate_all n server_files in
+      let daemon = Daemon.create server_files in
+      let r =
+        match Loopback.run_pulls ~daemon [ client_files ] with
+        | [ r ] -> r
+        | _ -> Alcotest.fail "one result expected"
+      in
+      Daemon.shutdown daemon;
+      check_files (Printf.sprintf "%d files converge" n) server_files r.Loopback.files;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d files matched old bytes" n)
+        true
+        (r.Loopback.stats.Puller.matched_bytes > 0);
+      if r.Loopback.roundtrips > bound then
+        Alcotest.failf "%d files took %d round trips (bound %d)" n
+          r.Loopback.roundtrips bound)
+    [ 1; 8; 40 ]
+
+let test_turn_budget () =
+  (* A fresh clone larger than the turn budget: no server turn queues
+     more than the budget plus one file of literals, and the clone
+     takes extra turns instead. *)
+  let rng = Prng.create 77L in
+  let file_len = 1 lsl 20 in
+  let server_files =
+    List.init 4 (fun i ->
+        ( Printf.sprintf "blob%d.bin" i,
+          String.init file_len (fun _ -> Char.chr (Prng.int rng 256)) ))
+    @ [ ("tail.txt", "the file that waits for the next turn") ]
+  in
+  let session = Session.create ~cache:(Sigcache.create ()) server_files in
+  let puller = Puller.create [] in
+  let turns = ref [] in
+  let q = Queue.create () in
+  List.iter (fun f -> Queue.add f q) (Puller.start puller);
+  while not (Queue.is_empty q || Puller.finished puller) do
+    let turn = Session.on_message session (Queue.pop q) in
+    let literals =
+      List.fold_left
+        (fun acc r ->
+          match Msg.decode ~config:cfg r with
+          | Msg.Full { body; _ } -> acc + String.length body
+          | _ -> acc)
+        0 turn
+    in
+    if literals > 0 then turns := literals :: !turns;
+    List.iter
+      (fun r -> List.iter (fun f -> Queue.add f q) (Puller.on_message puller r))
+      turn
+  done;
+  check_files "clone converges" server_files (Puller.result puller);
+  Alcotest.(check int) "two literal turns" 2 (List.length !turns);
+  Alcotest.(check bool) "the last file waited" true (List.hd !turns < 100);
+  List.iter
+    (fun n ->
+      if n > Batch.turn_budget + file_len + 64 then
+        Alcotest.failf "a turn queued %d literal bytes" n)
+    !turns
 
 let test_timeout_teardown () =
   let config =
@@ -532,7 +773,7 @@ let test_tcp_pull () =
          schedule is a pure function of the seed; this one corrupts
          frames on the first attempts and lets a later one through. *)
       let fault =
-        match Fsync_net.Fault.parse "corrupt=0.05" with
+        match Fsync_net.Fault.parse "corrupt=0.2" with
         | Ok spec -> spec
         | Error e -> Alcotest.fail e
       in
@@ -793,6 +1034,61 @@ let test_resume_pull () =
   Alcotest.(check int) "stale token skips nothing" 0
     (Session.stats s3).Session.resumed_jobs
 
+let test_resume_changed_pull () =
+  (* Kill a pull of changed files while its tails arrive: the resumed
+     session skips exactly the files that verified, and serves the rest
+     through the hash rounds again. *)
+  let server_files =
+    List.init 12 (fun i ->
+        ( Printf.sprintf "g%02d.c" i,
+          Fsync_workload.Text_gen.c_like
+            (Prng.create (Int64.of_int (70 + i)))
+            ~lines:80 ))
+  in
+  let client_files = mutate_all 7 server_files in
+  let mk_session () = Session.create ~cache:(Sigcache.create ()) server_files in
+  let p1 = Puller.create client_files in
+  let (_ : int) = pump ~abort_after:5 (mk_session ()) p1 in
+  Alcotest.(check bool) "interrupted mid-session" false (Puller.finished p1);
+  Alcotest.(check bool) "killed after the hash rounds" true
+    ((Puller.stats p1).Puller.rounds > 0
+    && (Puller.stats p1).Puller.matched_bytes > 0);
+  let token =
+    match Puller.resume_token p1 with
+    | Some t -> t
+    | None -> Alcotest.fail "interrupted puller must yield a token"
+  in
+  let verified = token.Puller.rt_completed in
+  Alcotest.(check int) "token carries the verified files" 5 (List.length verified);
+  List.iter
+    (fun (p, c) ->
+      Alcotest.(check string) ("verified " ^ p) (List.assoc p server_files) c)
+    verified;
+  (* The resumed session: count the slots it opens. *)
+  let s2 = mk_session () in
+  let p2 = Puller.create ~resume:token client_files in
+  let opened = Hashtbl.create 16 in
+  let q = Queue.create () in
+  List.iter (fun f -> Queue.add f q) (Puller.start p2);
+  while not (Queue.is_empty q || Puller.finished p2) do
+    List.iter
+      (fun r ->
+        (match Msg.decode ~config:cfg r with
+        | Msg.File_begin items ->
+            List.iter (fun (slot, _) -> Hashtbl.replace opened slot ()) items
+        | Msg.Full { slot; _ } -> Hashtbl.replace opened slot ()
+        | _ -> ());
+        List.iter (fun f -> Queue.add f q) (Puller.on_message p2 r))
+      (Session.on_message s2 (Queue.pop q))
+  done;
+  Alcotest.(check bool) "resumed pull finishes" true (Puller.finished p2);
+  check_files "resumed replica converges" server_files (Puller.result p2);
+  Alcotest.(check int) "server skipped exactly the verified files" 5
+    (Session.stats s2).Session.resumed_jobs;
+  Alcotest.(check int) "and opened the other seven" 7 (Hashtbl.length opened);
+  Alcotest.(check bool) "through hash rounds again" true
+    ((Session.stats s2).Session.rounds > 0)
+
 let test_busy_shed () =
   (* max_sessions = 0: every connection is shed with a typed Busy. *)
   let config = { Daemon.default_config with Daemon.max_sessions = 0 } in
@@ -924,37 +1220,39 @@ let test_hello_version_compat () =
   let files = mk_files 91 2 in
   let mk () = Session.create ~cache:(Sigcache.create ()) files in
   let hello v trace = Msg.encode ~config:cfg (Msg.Hello { version = v; trace; swarm = None }) in
-  (* A v1 client sends no trace id.  The server accepts, answers with
-     the client's own version (so the old equality check passes) and
-     mints a trace id of its own. *)
-  let s1 = mk () in
-  (match Session.on_message s1 (hello 1 None) with
+  (* Revision 4 is a clean break: Hellos of revisions 1-3 (with or
+     without a trace id), and any revision past the current one, are
+     rejected with a typed error and fail the session. *)
+  List.iter
+    (fun (v, trace) ->
+      let s = mk () in
+      match Session.on_message s (hello v trace) with
+      | exception Fsync_core.Error.E (Fsync_core.Error.Malformed _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "v%d session failed" v)
+            true (Session.failed s)
+      | exception e ->
+          Alcotest.failf "version %d: untyped %s" v (Printexc.to_string e)
+      | _ -> Alcotest.failf "version %d accepted" v)
+    [
+      (0, None); (1, None); (2, Some (String.make Msg.trace_bytes '\001'));
+      (3, None); (Msg.version + 1, None);
+    ];
+  (* A v4 client's trace id is adopted verbatim, and the Welcome
+     answers at v4. *)
+  let id = Trace_id.mint () in
+  let s4 = mk () in
+  (match Session.on_message s4 (hello Msg.version (Some (Trace_id.to_raw id))) with
   | [ reply ] -> (
       match Msg.decode ~config:cfg reply with
       | Msg.Welcome { version; _ } ->
-          Alcotest.(check int) "welcome echoes v1" 1 version
+          Alcotest.(check int) "welcome at v4" 4 version
       | m -> Alcotest.failf "expected Welcome, got %s" (Msg.label m))
   | l -> Alcotest.failf "expected 1 reply, got %d" (List.length l));
-  Alcotest.(check bool) "server minted an id" true
-    (Session.trace_id s1 <> None);
-  (* A v2 client's id is adopted verbatim. *)
-  let id = Trace_id.mint () in
-  let s2 = mk () in
-  let (_ : string list) =
-    Session.on_message s2 (hello Msg.version (Some (Trace_id.to_raw id)))
-  in
-  (match Session.trace_id s2 with
+  match Session.trace_id s4 with
   | Some sid ->
       Alcotest.(check bool) "wire id adopted" true (Trace_id.equal id sid)
-  | None -> Alcotest.fail "v2 hello left no trace id");
-  (* Versions outside [min_version, version] are rejected as malformed. *)
-  List.iter
-    (fun v ->
-      let s = mk () in
-      match Session.on_message s (hello v None) with
-      | exception Fsync_core.Error.E _ -> ()
-      | _ -> Alcotest.failf "version %d accepted" v)
-    [ 0; Msg.version + 1 ]
+  | None -> Alcotest.fail "v4 hello left no trace id"
 
 let test_trace_shared_id_and_coverage () =
   let server_files = mk_files 83 6 in
@@ -1251,12 +1549,17 @@ let suite =
     ("msg roundtrip", `Quick, test_msg_roundtrip);
     ("msg malformed", `Quick, test_msg_malformed);
     ("bitmap roundtrip", `Quick, test_bitmap_roundtrip);
+    ("batch frames rejected", `Quick, test_batch_frames_rejected);
+    prop_mutated_server_turn;
+    prop_mutated_client_turn;
     ("sigcache hits and eviction", `Quick, test_sigcache_hits_and_eviction);
     ("in-memory sync", `Quick, test_in_memory_sync);
     ("in-memory identical and empty", `Quick, test_in_memory_identical_and_empty);
     ("sigcache across clients", `Quick, test_sigcache_across_clients);
     ("loopback eight clients", `Quick, test_loopback_eight_clients);
     ("loopback matches in-memory", `Quick, test_loopback_matches_in_memory);
+    ("round trips bounded by hash levels", `Quick, test_roundtrip_bound);
+    ("turn budget caps literals", `Quick, test_turn_budget);
     ("timeout teardown", `Quick, test_timeout_teardown);
     ("protocol violation teardown", `Quick, test_protocol_violation_teardown);
     ("conn backpressure", `Quick, test_conn_backpressure);
@@ -1270,6 +1573,7 @@ let suite =
     ("push dedup two clients", `Quick, test_push_dedup_two_clients);
     ("daemon restart warm", `Quick, test_daemon_restart_warm);
     ("resume pull", `Quick, test_resume_pull);
+    ("resume pull of changed files", `Quick, test_resume_changed_pull);
     ("busy shed", `Quick, test_busy_shed);
     ("sigkill mid-push soak", `Quick, test_sigkill_mid_push_soak);
     ("hello version compat", `Quick, test_hello_version_compat);

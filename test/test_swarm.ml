@@ -1,5 +1,5 @@
 (* Tests for Fsync_swarm: version-vector algebra (qcheck laws), entry
-   and recon codecs, the rev-3 swarm Hello, deterministic K-peer gossip
+   and recon codecs, the swarm Hello, deterministic K-peer gossip
    convergence with typed conflict surfacing, read-repair, replay and
    peer-death robustness, and crash-tolerant persistence under injected
    disk faults. *)
@@ -183,13 +183,13 @@ let test_swarm_hello_codec () =
     [
       Msg.Hello
         {
-          version = 3;
+          version = Msg.version;
           trace = None;
           swarm = Some { Msg.peer = "alpha"; summary };
         };
       Msg.Hello
         {
-          version = 3;
+          version = Msg.version;
           trace = Some (String.make Msg.trace_bytes '\007');
           swarm = Some { Msg.peer = "beta"; summary };
         };
@@ -517,7 +517,7 @@ let test_responder_rejects_plain_hello () =
       let config = Msg.default_sync_config in
       let plain =
         Msg.encode ~config
-          (Msg.Hello { version = 3; trace = None; swarm = None })
+          (Msg.Hello { version = Msg.version; trace = None; swarm = None })
       in
       match Gossip.Responder.on_message resp plain with
       | _ -> Alcotest.fail "plain Hello must be rejected"
@@ -614,7 +614,7 @@ let test_peer_daemon_routes_both_dialects () =
         (Gossip.Initiator.start ini);
       Tr.close tr;
       check_all_equal "socket gossip" [ server; client ];
-      (* dialect two: a plain rev-2-style pull from the same endpoint
+      (* dialect two: a plain pull from the same endpoint
          sees the post-gossip collection *)
       let a2, b2 = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Peer.add_connection peer b2;

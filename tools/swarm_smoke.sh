@@ -10,7 +10,7 @@
 #   4. assert all four replicas are byte-identical (vector tables
 #      included), the concurrent edit surfaced as a
 #      `.fsync-conflict.<peer>` sibling with both versions preserved,
-#      and a plain rev-2 `fsync pull` against a swarm port retrieves
+#      and a plain `fsync pull` against a swarm port retrieves
 #      the converged collection (one port, both dialects)
 #   5. SIGTERM the daemons and check each reports a clean shutdown with
 #      at least one completed gossip session
@@ -125,7 +125,7 @@ cmp -s "$WORK/fresh/p1-only.txt" "$WORK/p1/p1-only.txt" \
   || fail "repair did not deliver p1-only.txt"
 echo "swarm-smoke: read-repair pulled the quorum copy (3/3)"
 
-# ---- 4c. rev-2 interop: a plain pull from a swarm port ---------------
+# ---- 4c. a plain pull from a swarm port -------------------------------
 mkdir -p "$WORK/plain"
 "$FSYNC" pull "127.0.0.1:$PORT1" "$WORK/plain" --apply -q \
   > "$WORK/pull.log" 2>&1 || fail "plain pull from a swarm port failed:
@@ -133,7 +133,7 @@ $(cat "$WORK/pull.log")"
 diff -r -x .fsync-swarm "$WORK/p1" "$WORK/plain" >/dev/null 2>&1 \
   || fail "plain pull differs from the served replica:
 $(diff -r -x .fsync-swarm "$WORK/p1" "$WORK/plain" 2>&1 | head -5)"
-echo "swarm-smoke: plain rev-2 pull served from the swarm port"
+echo "swarm-smoke: plain pull served from the swarm port"
 
 # ---- 5. clean shutdown ----------------------------------------------
 for i in 1 2 3; do
