@@ -1037,14 +1037,18 @@ let store () =
             (fun j -> (Printf.sprintf "c%d/u%02d.c" c j, gen 100)))
   in
   (* Sequential pushes: each client sees what its predecessors stored.
-     Returns the per-client accounted upload bytes, in client order. *)
+     Returns the per-client accounted upload bytes, in client order,
+     and the round trips the pushes took in all. *)
   let push_seq ~daemon ts =
-    List.map
-      (fun t ->
-        match Loopback.run_pushes ~daemon [ t ] with
-        | [ r ] -> r.Loopback.up_bytes
-        | _ -> (0 : int))
-      ts
+    let rs =
+      List.map
+        (fun t ->
+          match Loopback.run_pushes ~daemon [ t ] with
+          | [ r ] -> (r.Loopback.up_bytes, r.Loopback.roundtrips)
+          | _ -> (0, 0))
+        ts
+    in
+    (List.map fst rs, List.fold_left (fun acc (_, n) -> acc + n) 0 rs)
   in
   let trailing = function [] -> 0 | _ :: rest -> List.fold_left ( + ) 0 rest in
   let records =
@@ -1052,7 +1056,7 @@ let store () =
       (fun (shared, clients) ->
         let ts = trees ~shared ~clients in
         (* PR-5 baseline: no store, every push uploads everything. *)
-        let base_ups, base_reg, base_wall =
+        let (base_ups, base_rounds), base_reg, base_wall =
           observed (fun scope ->
               let daemon = Daemon.create ~scope [] in
               let ups = push_seq ~daemon ts in
@@ -1064,14 +1068,15 @@ let store () =
             ~scenario:(Printf.sprintf "store/push shared=%d" shared)
             ~config:(Printf.sprintf "clients=%d,mode=baseline" clients)
             ~bytes_up:(List.fold_left ( + ) 0 base_ups)
-            ~bytes_down:0 ~rounds:clients
+            ~bytes_down:0 ~rounds:base_rounds
             ~elapsed_s:
-              (slow_link_time ~rounds:clients (List.fold_left ( + ) 0 base_ups))
+              (slow_link_time ~rounds:base_rounds
+                 (List.fold_left ( + ) 0 base_ups))
             ~wall_ns:base_wall base_reg
         in
         let store_recs =
           with_store_root (fun root ->
-              let (ups, warm), reg, wall =
+              let ((ups, rounds), warm), reg, wall =
                 observed (fun scope ->
                     let st = Store.open_store ~scope root in
                     let daemon = Daemon.create ~scope ~store:st [] in
@@ -1121,9 +1126,9 @@ let store () =
                     (Printf.sprintf "clients=%d,mode=store,dedup=%.3f" clients
                        dedup)
                   ~bytes_up:(List.fold_left ( + ) 0 ups)
-                  ~bytes_down:0 ~rounds:clients
+                  ~bytes_down:0 ~rounds
                   ~elapsed_s:
-                    (slow_link_time ~rounds:clients (List.fold_left ( + ) 0 ups))
+                    (slow_link_time ~rounds (List.fold_left ( + ) 0 ups))
                   ~wall_ns:wall reg;
                 bench_record
                   ~scenario:(Printf.sprintf "store/warm shared=%d" shared)

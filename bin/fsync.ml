@@ -842,11 +842,11 @@ let push_cmd =
         let s = r.Fsync_server.Push.stats in
         Format.printf
           "pushed %d files in %d attempt(s); chunks: %d sent of %d, %d \
-           bytes deduped; wire: %d up, %d down@."
+           bytes deduped; wire: %d up, %d down, %d round trips@."
           s.Fsync_server.Pusher.files_pushed r.Fsync_server.Push.attempts
           s.Fsync_server.Pusher.chunks_sent s.Fsync_server.Pusher.chunks_total
           s.Fsync_server.Pusher.bytes_deduped r.Fsync_server.Push.c2s_bytes
-          r.Fsync_server.Push.s2c_bytes;
+          r.Fsync_server.Push.s2c_bytes r.Fsync_server.Push.roundtrips;
         emit_obs ~metrics ~trace_json reg;
         `Ok ()
     | exception Fsync_core.Error.E e ->

@@ -3,10 +3,9 @@ module Meta_wire = Fsync_collection.Meta_wire
 
 let turn_budget = Conn.default_max_outbox
 
-let check_slot ~who slots slot =
-  if slot < 0 || slot >= Array.length slots then
-    Error.malformed "%s: slot %d outside the %d of this session" who slot
-      (Array.length slots)
+let check_slot ~who ~count slot =
+  if slot < 0 || slot >= count then
+    Error.malformed "%s: slot %d outside the %d of this session" who slot count
 
 module Serve = struct
   type reply = Matched of string | Ack of bool
@@ -108,7 +107,7 @@ module Serve = struct
   let start t = if complete t then [] else turn t
 
   let reply t slot r =
-    check_slot ~who:t.who t.slots slot;
+    check_slot ~who:t.who ~count:(Array.length t.slots) slot;
     let unexpected () =
       Error.malformed "%s: unexpected reply for slot %d" t.who slot
     in
@@ -172,7 +171,7 @@ module Fetch = struct
 
   (* A slot takes at most one hashes, tail or full message per turn. *)
   let touch t slot =
-    check_slot ~who:t.who t.slots slot;
+    check_slot ~who:t.who ~count:(Array.length t.slots) slot;
     if Int.equal t.seen.(slot) t.turn then
       Error.malformed "%s: slot %d twice in one turn" t.who slot;
     t.seen.(slot) <- t.turn
@@ -187,7 +186,7 @@ module Fetch = struct
     ack t slot true
 
   let on_begin t (slot, (b : Msg.file_begin)) =
-    check_slot ~who:t.who t.slots slot;
+    check_slot ~who:t.who ~count:(Array.length t.slots) slot;
     match t.slots.(slot) with
     | Closed ->
         t.slots.(slot) <- Begun b;

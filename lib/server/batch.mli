@@ -5,9 +5,11 @@
     files can be processed simultaneously" (§2.3).  This module is where
     that happens, for the daemon's pulls ({!Session} / {!Puller}) and
     the swarm's fetches ({!Fsync_swarm.Gossip}, {!Fsync_swarm.Repair})
-    alike.  Each file keeps its own per-file machine ({!Serve_file} on
-    the sending side, {!Fetch_file} on the receiving side); the driver
-    only keys their messages by slot and takes turns:
+    alike; uploads ({!Session} / {!Pusher}) take turns on the same
+    budget and slot rules (fsyncd/1 rev 5).  Each file keeps its own
+    per-file machine ({!Serve_file} on the sending side, {!Fetch_file}
+    on the receiving side); the driver only keys their messages by slot
+    and takes turns:
 
     - a {e server turn} answers every client reply of the previous turn
       and opens queued files: one [File_begin] frame, one [Tail] or
@@ -29,7 +31,12 @@ val turn_budget : int
     {!Conn.default_max_outbox}.  A turn always sends at least one
     literal; past the budget the rest wait for later turns, so a clone
     larger than the budget takes extra turns instead of pushing the
-    whole collection into one outbox. *)
+    whole collection into one outbox.  A push turn opens files the
+    same way, up to this many declared bytes. *)
+
+val check_slot : who:string -> count:int -> int -> unit
+(** A slot outside [0, count) is a typed [Malformed] error; [who]
+    prefixes the message. *)
 
 (** The sending side. *)
 module Serve : sig

@@ -87,6 +87,7 @@ type push_result = {
   pusher : Pusher.stats;
   up_bytes : int;
   down_bytes : int;
+  roundtrips : int;
 }
 
 (* Same pump as [run_pulls], upload direction: used concurrently for
@@ -131,6 +132,7 @@ let run_pushes ?(max_iterations = 1_000_000) ?params ~daemon clients =
           pusher = Pusher.stats pusher;
           up_bytes = Channel.bytes ch Channel.Client_to_server;
           down_bytes = Channel.bytes ch Channel.Server_to_client;
+          roundtrips = Channel.roundtrips ch;
         }
       in
       Fd_transport.close tr;

@@ -40,6 +40,7 @@ type push_result = {
   pusher : Pusher.stats;
   up_bytes : int;   (** accounted client-to-server bytes (incl. framing) *)
   down_bytes : int;
+  roundtrips : int; (** measured on the client's channel *)
 }
 
 val run_pushes :

@@ -6,11 +6,13 @@ module Error = Fsync_core.Error
    (DESIGN.md §9) and revision 3 an optional swarm extension after it
    (peer id + entry-table root digest, DESIGN.md §13).  Revision 4 keys
    every per-file message by a slot and batches one round of every file
-   in flight into one frame per message kind (DESIGN.md §10).  It is a
-   clean break: both endpoints accept revision 4 only. *)
-let version = 4
+   in flight into one frame per message kind (DESIGN.md §10).  Revision
+   5 does the same for uploads: [Push_begin] and [Chunk_need] carry one
+   item per slot, [Chunk_data] one payload per turn.  Each was a clean
+   break: both endpoints accept revision 5 only. *)
+let version = 5
 
-let min_version = 4
+let min_version = 5
 
 let version_ok v = v >= min_version && v <= version
 
@@ -33,6 +35,13 @@ let trace_bytes = 16
 type swarm_hello = { peer : string; summary : Fp.t }
 
 type file_begin = { new_len : int; fp : Fp.t }
+
+type push_begin = {
+  path : string;
+  file_len : int;
+  fp : Fp.t;
+  manifest : (Fp.t * int) list;
+}
 
 type t =
   | Hello of {
@@ -57,13 +66,8 @@ type t =
   | File_ack of (int * bool) list
   | Bye of { root : Fp.t }
   | Error_msg of string
-  | Push_begin of {
-      path : string;
-      file_len : int;
-      fp : Fp.t;
-      manifest : (Fp.t * int) list;
-    }
-  | Chunk_need of string
+  | Push_begin of (int * push_begin) list
+  | Chunk_need of (int * string) list
   | Chunk_data of string
   | Push_done
   | Resume of { root : Fp.t; bitmap : string }
@@ -218,12 +222,6 @@ let encode ~config msg =
           Varint.write b (Array.length hs);
           Array.iter (fun h -> put_hash_le b ~width h) hs)
         items
-  | Matched items ->
-      List.iter
-        (fun (slot, bitmap) ->
-          Varint.write b slot;
-          put_string b bitmap)
-        items
   | Tail { slot; literals = body } | Full { slot; body } ->
       Varint.write b slot;
       Buffer.add_string b body
@@ -233,12 +231,21 @@ let encode ~config msg =
         items
   | Bye { root } -> Buffer.add_string b (Fp.to_raw root)
   | Error_msg m -> put_string b m
-  | Push_begin { path; file_len; fp; manifest } ->
-      put_string b path;
-      Varint.write b file_len;
-      Buffer.add_string b (Fp.to_raw fp);
-      put_manifest b manifest
-  | Chunk_need bitmap -> Buffer.add_string b bitmap
+  | Push_begin items ->
+      List.iter
+        (fun (slot, { path; file_len; fp; manifest }) ->
+          Varint.write b slot;
+          put_string b path;
+          Varint.write b file_len;
+          Buffer.add_string b (Fp.to_raw fp);
+          put_manifest b manifest)
+        items
+  | Matched items | Chunk_need items ->
+      List.iter
+        (fun (slot, bitmap) ->
+          Varint.write b slot;
+          put_string b bitmap)
+        items
   | Chunk_data z -> Buffer.add_string b z
   | Swarm_table body | Swarm_recon body | Swarm_query body | Swarm_fetch body
     ->
@@ -397,8 +404,7 @@ let decode ~config msg =
       let slot, pos = get_varint msg ~pos "full slot" in
       Full { slot; body = rest msg pos }
   | 'K' ->
-      (* One varint per ack, the flag in its low bit: a push's single
-         slot-0 ack is the same two bytes it always was. *)
+      (* One varint per ack, the flag in its low bit. *)
       let rec acks pos prev acc =
         if pos >= String.length msg then List.rev acc
         else begin
@@ -417,12 +423,18 @@ let decode ~config msg =
       let m, _ = get_string msg ~pos "error text" in
       Error_msg m
   | 'P' ->
-      let path, pos = get_string msg ~pos "push path" in
-      let file_len, pos = get_varint msg ~pos "push file length" in
-      let fp, pos = get_fp msg ~pos "push fingerprint" in
-      let manifest, _ = get_manifest msg ~pos in
-      Push_begin { path; file_len; fp; manifest }
-  | 'N' -> Chunk_need (rest msg pos)
+      Push_begin
+        (get_items msg ~pos "push-begin" (fun ~slot p ->
+             let path, p = get_string msg ~pos:p "push path" in
+             let file_len, p = get_varint msg ~pos:p "push file length" in
+             let fp, p = get_fp msg ~pos:p "push fingerprint" in
+             let manifest, p = get_manifest msg ~pos:p in
+             ((slot, { path; file_len; fp; manifest }), p)))
+  | 'N' ->
+      Chunk_need
+        (get_items msg ~pos "chunk-need" (fun ~slot p ->
+             let bitmap, p = get_string msg ~pos:p "need bitmap" in
+             ((slot, bitmap), p)))
   | 'C' -> Chunk_data (rest msg pos)
   | 'D' -> Push_done
   | 'R' ->

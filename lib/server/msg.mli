@@ -12,13 +12,14 @@
     the session's job order, which both ends derive from the [Verdict]
     (the announced paths it marks as not up to date, in announce order,
     then its new paths).  A batch frame ([File_begin], [Hashes],
-    [Matched], [File_ack]) carries one item per slot, in ascending slot
-    order; [Tail] and [Full] carry one file each.  The two ends take
-    turns ({!Batch}): a server turn opens files and answers every
-    client reply of the previous turn at once, so a pull costs one
-    round trip per hash level, not per file per level.
+    [Matched], [File_ack], and on a push [Push_begin] and [Chunk_need])
+    carries one item per slot, in ascending slot order; [Tail] and
+    [Full] carry one file each.  The two ends take turns ({!Batch}): a
+    server turn opens files and answers every client reply of the
+    previous turn at once, so a pull costs one round trip per hash
+    level, not per file per level.
 
-    Session flow (rev 4):
+    Pull flow (unchanged since rev 4):
     {v
     client                              server
       Hello             ->
@@ -43,30 +44,45 @@
     {!Batch.turn_budget} bytes of [Tail]/[Full] payload go into one
     turn; the rest waits for the next one.
 
-    Push flow (client uploads into a store-backed daemon; the [Hello] /
-    [Welcome] opening is shared, then the first [Push_begin] selects the
-    direction):
+    Push flow (rev 5; a client uploads into a store-backed daemon).  The
+    [Hello] / [Welcome] opening is shared; the first [Push_begin] picks
+    the direction.  Uploads take turns the same way: the client numbers
+    its files 0, 1, ... in upload order and keys every message by that
+    slot, one frame per message kind per turn.
     {v
     client                           server
-      Push_begin       ->               (path, len, fp, chunk manifest)
-                       <-  Chunk_need (bitmap, 1 = upload it)
-      Chunk_data       ->               (deflated needed chunks, in order)
-                       <-  File_ack (slot 0, true)
-                        |  Chunk_need (all-ones: store let the server
-                           down mid-assembly; retried at most once)
-      ... per file, then:
-      Push_done        ->
-                       <-  Bye (root of the pushed set)
-    v} *)
+      Push_begin (slot, path, len, fp, manifest)* ->
+                       <-  Chunk_need (slot, bitmap)*   1 = upload it
+      Chunk_data       ->   one deflated payload: the needed chunks,
+                            ascending slot order, then manifest order
+      Push_begin (next slots)* | Push_done ->
+                       <-  File_ack (slot, true)*       files stored
+                       <-  Chunk_need (slot, all ones)* store-failure
+                                                        retry, at most
+                                                        once per slot,
+                                                        then the next
+                                                        slots' bitmaps
+      ...              one round trip per turn, then:
+                       <-  Bye (root of the pushed set), once
+                           [Push_done] is in and every slot is acked
+    v}
+
+    A client turn opens slots while their declared lengths stay under
+    {!Batch.turn_budget} (at least one per turn), so a push whose files
+    fit in one turn costs three round trips whatever its file count.
+    The client knows a server turn is over once every slot it is
+    waiting on has been answered; the server knows a client turn is
+    over at its [Push_begin] or [Push_done], or at its [Chunk_data]
+    when [Push_done] came earlier. *)
 
 val version : int
-(** Current protocol revision (4: per-file messages are slot-keyed and
-    batched per turn; [Hello] may carry a trace id and, after it, the
-    swarm extension — peer id plus entry-table root digest, DESIGN.md
-    §13). *)
+(** Current protocol revision (5: per-file messages are slot-keyed and
+    batched per turn, uploads included; [Hello] may carry a trace id
+    and, after it, the swarm extension — peer id plus entry-table root
+    digest, DESIGN.md §13). *)
 
 val min_version : int
-(** Oldest revision both endpoints still accept (4: revision 4 is a
+(** Oldest revision both endpoints still accept (5: revision 5 is a
     clean break). *)
 
 val version_ok : int -> bool
@@ -110,6 +126,17 @@ type file_begin = {
 (** Opens a slot for the hash rounds: the new file's length and
     whole-file fingerprint.  The path is the slot's. *)
 
+type push_begin = {
+  path : string;
+  file_len : int;
+  fp : Fsync_hash.Fingerprint.t;
+  manifest : (Fsync_hash.Fingerprint.t * int) list;
+      (** the file as content-defined chunks, in order: (strong
+          fingerprint, length) per chunk *)
+}
+(** Opens an upload slot: the file's path, length and fingerprint, and
+    its chunk manifest. *)
+
 type t =
   | Hello of {
       version : int;
@@ -144,22 +171,18 @@ type t =
   | Full of { slot : int; body : string }
       (** {!Fsync_collection.Meta_wire} file message for the slot *)
   | File_ack of (int * bool) list
-      (** per slot, false asks for the [Full] fallback.  A push answers
-          each file with a single slot-0 ack. *)
+      (** per slot, false asks for the [Full] fallback; on a push, true
+          means the file is stored and published *)
   | Bye of { root : Fsync_hash.Fingerprint.t }
   | Error_msg of string (** typed teardown notification *)
-  | Push_begin of {
-      path : string;
-      file_len : int;
-      fp : Fsync_hash.Fingerprint.t;
-      manifest : (Fsync_hash.Fingerprint.t * int) list;
-          (** the file as content-defined chunks, in order: (strong
-              fingerprint, length) per chunk *)
-    }
-  | Chunk_need of string
-      (** bitmap over the manifest, 1 = the server wants that chunk *)
+  | Push_begin of (int * push_begin) list
+      (** upload slots opened this turn *)
+  | Chunk_need of (int * string) list
+      (** per slot, a bitmap over its manifest, 1 = the server wants
+          that chunk *)
   | Chunk_data of string
-      (** deflated concatenation of exactly the needed chunks, manifest
+      (** deflated concatenation of exactly the chunks the last
+          [Chunk_need] asked for: ascending slot order, then manifest
           order *)
   | Push_done  (** no more files; the server answers [Bye] *)
   | Resume of { root : Fsync_hash.Fingerprint.t; bitmap : string }

@@ -11,6 +11,7 @@ type outcome = {
   stats : Pusher.stats;
   c2s_bytes : int;
   s2c_bytes : int;
+  roundtrips : int;
   attempts : int;
   backoff_s : float;
 }
@@ -62,6 +63,7 @@ let attempt ?fault ?seed ~idle_timeout_s ~host ~port pusher =
       stats = Pusher.stats pusher;
       c2s_bytes = Channel.bytes ch Channel.Client_to_server;
       s2c_bytes = Channel.bytes ch Channel.Server_to_client;
+      roundtrips = Channel.roundtrips ch;
       attempts = 1;
       backoff_s = 0.0;
     }

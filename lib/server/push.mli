@@ -14,6 +14,7 @@ type outcome = {
   stats : Pusher.stats;
   c2s_bytes : int;
   s2c_bytes : int;
+  roundtrips : int; (** measured on the last attempt's channel *)
   attempts : int; (** attempts consumed, [>= 1] *)
   backoff_s : float; (** total inter-attempt backoff slept *)
 }

@@ -13,12 +13,15 @@ type job = {
   chunks : (Fp.t * Chunker.chunk) list;
 }
 
-type phase =
-  | Expect_welcome
-  | Expect_need of job
-  | Expect_ack of job
-  | Expect_bye
-  | Done
+(* Where each slot stands in the lockstep upload (fsyncd/1 rev 5). *)
+type slot =
+  | Queued
+  | Begun  (** [Push_begin] sent: its [Chunk_need] is due *)
+  | Needed of bool array  (** these chunks go out in this turn's data *)
+  | Sent  (** chunks sent: its [File_ack], or a retry bitmap, is due *)
+  | Acked
+
+type phase = Expect_welcome | Pushing | Done
 
 type t = {
   scope : Scope.t; (* the client's trace registry, if any *)
@@ -27,7 +30,11 @@ type t = {
   mutable span_phase : (string * int) option;
   mutable config : Msg.sync_config;
   mutable phase : phase;
-  mutable queue : job list;
+  jobs : job array; (* slot order *)
+  slots : slot array;
+  mutable next : int; (* the first queued slot *)
+  mutable awaiting : int; (* slots Begun or Sent: the server owes them *)
+  mutable done_sent : bool;
   root : Fp.t;
   resumed_files : int;
   mutable acked : string list; (* paths the server ack'd, cumulative, rev *)
@@ -66,7 +73,11 @@ let create ?(scope = Scope.disabled) ?trace_id ?params ?(skip = []) files =
     span_phase = None;
     config = Msg.default_sync_config;
     phase = Expect_welcome;
-    queue = jobs;
+    jobs = Array.of_list jobs;
+    slots = Array.make (List.length jobs) Queued;
+    next = 0;
+    awaiting = 0;
+    done_sent = false;
     root = Meta_wire.collection_root remaining;
     resumed_files = List.length files - List.length remaining;
     acked = List.rev skip;
@@ -107,7 +118,7 @@ let end_phases t =
 let sync_phase t =
   match t.phase with
   | Expect_welcome -> set_phase t "phase:metadata"
-  | Expect_need _ | Expect_ack _ | Expect_bye -> set_phase t "phase:push"
+  | Pushing -> set_phase t "phase:push"
   | Done -> end_phases t
 
 let start t =
@@ -117,42 +128,102 @@ let start t =
 
 let finished t = match t.phase with Done -> true | _ -> false
 
-let advance t =
-  match t.queue with
-  | [] ->
-      t.phase <- Expect_bye;
-      [ Msg.Push_done ]
-  | job :: rest ->
-      t.queue <- rest;
+(* Open queued files while their declared lengths stay under the turn
+   budget, at least one. *)
+let open_files t =
+  let rec take used acc =
+    if t.next < Array.length t.jobs
+       && (List.is_empty acc || used < Batch.turn_budget)
+    then begin
+      let slot = t.next in
+      let job = t.jobs.(slot) in
+      t.next <- slot + 1;
+      t.slots.(slot) <- Begun;
+      t.awaiting <- t.awaiting + 1;
       t.chunks_total <- t.chunks_total + List.length job.chunks;
-      t.phase <- Expect_need job;
-      [
-        Msg.Push_begin
-          {
-            path = job.path;
-            file_len = String.length job.content;
-            fp = job.fp;
-            manifest =
-              List.map (fun (cfp, (c : Chunker.chunk)) -> (cfp, c.len)) job.chunks;
-          };
-      ]
+      let b =
+        {
+          Msg.path = job.path;
+          file_len = String.length job.content;
+          fp = job.fp;
+          manifest =
+            List.map (fun (cfp, (c : Chunker.chunk)) -> (cfp, c.len)) job.chunks;
+        }
+      in
+      take (used + String.length job.content) ((slot, b) :: acc)
+    end
+    else List.rev acc
+  in
+  take 0 []
 
-(* Answer a residency bitmap (initial or all-ones retry) with exactly
-   the requested chunks, manifest order, deflated as one payload. *)
-let on_need t job bitmap =
-  let flags = Msg.decode_bitmap ~count:(List.length job.chunks) bitmap in
+(* This side's turn, once the server has answered every slot it owed:
+   one [Chunk_data] payload with every requested chunk (ascending slot
+   order, then manifest order), then the next files or [Push_done]. *)
+let client_turn t =
   let buf = Buffer.create 4096 in
-  List.iteri
-    (fun i (_, (c : Chunker.chunk)) ->
-      if flags.(i) then begin
-        Buffer.add_substring buf job.content c.off c.len;
-        t.chunks_sent <- t.chunks_sent + 1;
-        t.bytes_sent <- t.bytes_sent + c.len
-      end
-      else t.bytes_deduped <- t.bytes_deduped + c.len)
-    job.chunks;
-  t.phase <- Expect_ack job;
-  [ Msg.Chunk_data (Deflate.compress (Buffer.contents buf)) ]
+  let data = ref false in
+  Array.iteri
+    (fun slot s ->
+      match s with
+      | Needed flags ->
+          data := true;
+          List.iteri
+            (fun i (_, (c : Chunker.chunk)) ->
+              if flags.(i) then begin
+                Buffer.add_substring buf t.jobs.(slot).content c.off c.len;
+                t.chunks_sent <- t.chunks_sent + 1;
+                t.bytes_sent <- t.bytes_sent + c.len
+              end
+              else t.bytes_deduped <- t.bytes_deduped + c.len)
+            t.jobs.(slot).chunks;
+          t.slots.(slot) <- Sent;
+          t.awaiting <- t.awaiting + 1
+      | Queued | Begun | Sent | Acked -> ())
+    t.slots;
+  let data =
+    if !data then [ Msg.Chunk_data (Deflate.compress (Buffer.contents buf)) ]
+    else []
+  in
+  match open_files t with
+  | _ :: _ as items -> data @ [ Msg.Push_begin items ]
+  | [] when not t.done_sent ->
+      t.done_sent <- true;
+      data @ [ Msg.Push_done ]
+  | [] -> data
+
+let answered t slot s =
+  t.slots.(slot) <- s;
+  t.awaiting <- t.awaiting - 1
+
+let on_ack t (slot, ok) =
+  Batch.check_slot ~who:"Pusher" ~count:(Array.length t.slots) slot;
+  let job = t.jobs.(slot) in
+  match t.slots.(slot) with
+  | Sent when ok ->
+      answered t slot Acked;
+      t.files_pushed <- t.files_pushed + 1;
+      t.acked <- job.path :: t.acked
+  | Sent ->
+      Error.fail
+        (Error.Verification_failed
+           (Printf.sprintf "Pusher: server rejected verified push of %s"
+              job.path))
+  | Queued | Begun | Needed _ | Acked ->
+      Error.malformed "Pusher: ack for slot %d, which awaits none" slot
+
+(* A bitmap for a slot whose chunks went out already is the server's
+   one store-failure retry: answered the same way. *)
+let on_need t (slot, bitmap) =
+  Batch.check_slot ~who:"Pusher" ~count:(Array.length t.slots) slot;
+  match t.slots.(slot) with
+  | Begun | Sent ->
+      let count = List.length t.jobs.(slot).chunks in
+      answered t slot (Needed (Msg.decode_bitmap ~count bitmap))
+  | Queued | Needed _ | Acked ->
+      Error.malformed "Pusher: chunk bitmap for slot %d, which awaits none" slot
+
+(* The server's turn is over once it has answered every slot it owed. *)
+let after_answers t = if Int.equal t.awaiting 0 then client_turn t else []
 
 let on_message t raw =
   let msg = Msg.decode ~config:t.config raw in
@@ -161,23 +232,19 @@ let on_message t raw =
     | Expect_welcome, Msg.Welcome { version; config; _ } ->
         Handshake.check_version ~who:"Pusher" version;
         t.config <- config;
-        advance t
+        t.phase <- Pushing;
+        client_turn t
     | Expect_welcome, Msg.Busy { retry_after_ms } ->
         Handshake.reject_busy ~retry_after_ms
-    | Expect_need job, Msg.Chunk_need bitmap -> on_need t job bitmap
-    (* A Chunk_need after our data is the server's one store-failure
-       retry: re-send per the new (all-ones) bitmap. *)
-    | Expect_ack job, Msg.Chunk_need bitmap -> on_need t job bitmap
-    | Expect_ack job, Msg.File_ack [ (0, true) ] ->
-        t.files_pushed <- t.files_pushed + 1;
-        t.acked <- job.path :: t.acked;
-        advance t
-    | Expect_ack job, Msg.File_ack [ (0, false) ] ->
-        Error.fail
-          (Error.Verification_failed
-             (Printf.sprintf "Pusher: server rejected verified push of %s"
-                job.path))
-    | Expect_bye, Msg.Bye { root } ->
+    | Pushing, Msg.File_ack items ->
+        List.iter (on_ack t) items;
+        after_answers t
+    | Pushing, Msg.Chunk_need items ->
+        List.iter (on_need t) items;
+        after_answers t
+    | Pushing, Msg.Bye { root } ->
+        if t.awaiting > 0 || not t.done_sent then
+          Error.malformed "Pusher: bye with %d file(s) unanswered" t.awaiting;
         if not (Fp.equal root t.root) then
           Error.fail
             (Error.Verification_failed

@@ -2,11 +2,14 @@
     messages-out state machine (the upload mirror of {!Puller}).
 
     The pusher cuts every file into content-defined chunks
-    ({!Fsync_cdc.Chunker}) and, per file, offers the server the chunk
-    manifest.  The server's residency bitmap ({!Msg.Chunk_need}) names
-    the chunks it lacks; only those cross the wire, deflated.  A second
-    bitmap for the same file is the server's one store-failure retry
-    and is answered the same way.  After the last file the pusher sends
+    ({!Fsync_cdc.Chunker}) and offers the server their manifests, every
+    file of a turn at once (fsyncd/1 rev 5, {!Msg}): one [Push_begin]
+    frame opens as many slots as fit in {!Batch.turn_budget} declared
+    bytes.  The server's residency bitmaps ({!Msg.Chunk_need}) name the
+    chunks it lacks; only those cross the wire, in one deflated
+    [Chunk_data] payload per turn, followed by the next files.  A second
+    bitmap for a file is the server's one store-failure retry and is
+    answered the same way.  After the last file the pusher sends
     [Push_done] and verifies the server's [Bye] root against the root
     of what it pushed — end-to-end, same as the pull direction. *)
 
@@ -32,7 +35,9 @@ val create :
 
 val completed_paths : t -> string list
 (** Paths the server has acknowledged so far, cumulative with [skip] —
-    feed this back as the next attempt's [skip] to resume a push. *)
+    feed this back as the next attempt's [skip] to resume a push.  Acks
+    come one server turn at a time, so a cut session loses at most the
+    files of its last turn. *)
 
 val start : t -> string list
 (** The opening frames to send ([Hello]). *)

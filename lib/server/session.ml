@@ -1,6 +1,7 @@
 module Fp = Fsync_hash.Fingerprint
 module Error = Fsync_core.Error
 module Deflate = Fsync_compress.Deflate
+module Varint = Fsync_util.Varint
 module Meta_wire = Fsync_collection.Meta_wire
 module Scope = Fsync_obs.Scope
 module Trace_id = Fsync_obs.Trace_id
@@ -15,20 +16,30 @@ type job = Serve_file.job = {
 }
 
 type push_file = {
+  p_slot : int;
   p_path : string;
-  p_len : int;
   p_fp : Fp.t;
   p_manifest : (Fp.t * int) list;
   p_needed : bool array;
   mutable p_retried : bool;
 }
 
+(* An upload in lockstep (fsyncd/1 rev 5): every file the client opened
+   in one turn is answered in the next. *)
+type upload = {
+  mutable opened : int;  (* slots opened so far: the next one must be this *)
+  mutable pending : push_file list;
+      (* ascending: the files whose chunks the last Chunk_need asked for *)
+  mutable acks : (int * bool) list;  (* this turn's, newest first *)
+  mutable needs : push_file list;  (* this turn's Chunk_need items, newest first *)
+  mutable push_done : bool;  (* Push_done is in: Bye once nothing is pending *)
+}
+
 type phase =
   | Expect_hello
   | Expect_announce
   | Transfer of Batch.Serve.t
-  | Expect_push
-  | Expect_chunks of push_file
+  | Upload of upload
   | Done
   | Failed
 
@@ -97,8 +108,7 @@ let phase_name t =
   | Expect_hello -> "hello"
   | Expect_announce -> "announce"
   | Transfer b -> if Batch.Serve.hashing b then "pull:rounds" else "pull:ack"
-  | Expect_push -> "push:idle"
-  | Expect_chunks _ -> "push:chunks"
+  | Upload u -> if List.is_empty u.pending then "push:idle" else "push:chunks"
   | Done -> "done"
   | Failed -> "failed"
 
@@ -137,7 +147,7 @@ let sync_phase t =
       set_phase t
         (if Batch.Serve.hashing b then "phase:hash_rounds"
          else "phase:literals")
-  | Expect_push | Expect_chunks _ -> set_phase t "phase:push"
+  | Upload _ -> set_phase t "phase:push"
   | Done | Failed -> end_phases t
 
 (* A full payload whose manifest is on record and whose chunks are all
@@ -282,10 +292,59 @@ let on_announce t body =
   let frames = Batch.Serve.start batch in
   (Msg.Verdict verdict :: frames) @ close_if_complete t batch
 
-(* ---- push direction: the client uploads, the store deduplicates ---- *)
+(* ---- push direction: the client uploads, the store deduplicates ----
 
-let on_push_begin t ~path ~file_len ~fp ~manifest =
-  let total = List.fold_left (fun acc (_, l) -> acc + l) 0 manifest in
+   Every file the client opens in a turn moves in lockstep: one
+   [Chunk_need] frame answers all of a [Push_begin] frame, one
+   [Chunk_data] payload carries every needed chunk of the turn, and one
+   [File_ack] frame answers it (DESIGN.md §10). *)
+
+let pushed_root t = Meta_wire.collection_root (List.rev t.pushed)
+
+(* Close a server turn: the acks, then every bitmap due (the store
+   retries come first, their slots being older than the ones opened
+   this turn), then [Bye] once [Push_done] is in and no file is
+   pending. *)
+let end_upload_turn t u =
+  let acks = List.rev u.acks and needs = List.rev u.needs in
+  u.acks <- [];
+  u.needs <- [];
+  u.pending <- needs;
+  let frames =
+    (if List.is_empty acks then [] else [ Msg.File_ack acks ])
+    @
+    if List.is_empty needs then []
+    else
+      [
+        Msg.Chunk_need
+          (List.map
+             (fun pf ->
+               (pf.p_slot, Msg.encode_bitmap (Array.to_list pf.p_needed)))
+             needs);
+      ]
+  in
+  if u.push_done && List.is_empty needs then begin
+    t.phase <- Done;
+    frames @ [ Msg.Bye { root = pushed_root t } ]
+  end
+  else frames
+
+let open_push t u (slot, { Msg.path; file_len; fp; manifest }) =
+  if not (Int.equal slot u.opened) then
+    Error.malformed "Session: push slot %d out of range, slot %d opens next"
+      slot u.opened;
+  u.opened <- slot + 1;
+  (* A running sum that may never pass the declared length cannot
+     overflow, however large the lengths a hostile manifest claims. *)
+  let total =
+    List.fold_left
+      (fun acc (_, l) ->
+        if l > file_len - acc then
+          Error.malformed "Session: push manifest for %s overruns %d bytes" path
+            file_len;
+        acc + l)
+      0 manifest
+  in
   if not (Int.equal total file_len) then
     Error.malformed "Session: push manifest for %s sums to %d, file is %d"
       path total file_len;
@@ -301,100 +360,142 @@ let on_push_begin t ~path ~file_len ~fp ~manifest =
       if n then t.chunks_uploaded <- t.chunks_uploaded + 1
       else t.chunks_deduped <- t.chunks_deduped + 1)
     needed;
-  t.phase <-
-    Expect_chunks
-      {
-        p_path = path;
-        p_len = file_len;
-        p_fp = fp;
-        p_manifest = manifest;
-        p_needed = Array.of_list needed;
-        p_retried = false;
-      };
-  [ Msg.Chunk_need (Msg.encode_bitmap needed) ]
+  u.needs <-
+    {
+      p_slot = slot;
+      p_path = path;
+      p_fp = fp;
+      p_manifest = manifest;
+      p_needed = Array.of_list needed;
+      p_retried = false;
+    }
+    :: u.needs
+
+let on_push_begin t u items =
+  if List.is_empty items then Error.malformed "Session: push turn opens no file";
+  List.iter (open_push t u) items;
+  end_upload_turn t u
 
 (* The store let the assembly down (chunk lost or corrupted between the
-   bitmap and the read): ask the client for everything once, then give
-   up with a typed verification failure. *)
-let retry_or_fail t pf what =
+   bitmap and the read): ask the client for all of the file once, then
+   give up with a typed verification failure. *)
+let retry_or_fail t u pf what =
   if pf.p_retried then
     Error.fail
       (Error.Verification_failed
          (Printf.sprintf "Session: push of %s failed after store retry (%s)"
-            pf.p_path what))
-  else begin
-    pf.p_retried <- true;
-    Array.fill pf.p_needed 0 (Array.length pf.p_needed) true;
-    Scope.incr t.scope "push_store_retries";
-    [ Msg.Chunk_need (Msg.encode_bitmap (Array.to_list pf.p_needed)) ]
-  end
+            pf.p_path what));
+  pf.p_retried <- true;
+  Array.fill pf.p_needed 0 (Array.length pf.p_needed) true;
+  Scope.incr t.scope "push_store_retries";
+  u.needs <- pf :: u.needs
 
-let on_chunk_data t pf z =
+(* A chunk the bitmap did not ask for, read back from the store.  Its
+   length must be the one the manifest declares: a length no stored
+   chunk has is the client's lie, not a store failure. *)
+let resident t pf (cfp, len) =
+  match t.store with
+  | None -> Error "no store behind a dedup bitmap"
+  | Some store -> (
+      match Store.get store cfp with
+      | Some chunk when Fp.equal (Fp.of_string chunk) cfp ->
+          if not (Int.equal (String.length chunk) len) then
+            Error.malformed "Session: %s declares %d bytes for chunk %s of %d"
+              pf.p_path len (Fp.to_hex cfp) (String.length chunk);
+          Ok chunk
+      | Some _ -> Error (Printf.sprintf "chunk %s corrupt" (Fp.to_hex cfp))
+      | None -> Error (Printf.sprintf "chunk %s vanished" (Fp.to_hex cfp)))
+
+(* Assemble one file from its uploaded chunks ([Some]) and the store's
+   ([None]); the content is sized by the chunks in hand, never by the
+   length the client declared. *)
+let assemble t u pf uploaded =
+  let rec gather acc = function
+    | [] -> Ok (String.concat "" (List.rev acc))
+    | (_, Some chunk) :: rest -> gather (chunk :: acc) rest
+    | (entry, None) :: rest -> (
+        match resident t pf entry with
+        | Ok chunk -> gather (chunk :: acc) rest
+        | Error _ as e -> e)
+  in
+  match gather [] (List.combine pf.p_manifest uploaded) with
+  | Error what -> retry_or_fail t u pf what
+  | Ok content when not (Fp.equal (Fp.of_string content) pf.p_fp) ->
+      retry_or_fail t u pf "assembled file fails its fingerprint"
+  | Ok content ->
+      (match t.store with
+      | Some store ->
+          Scope.timed t.trace "store:io" (fun () ->
+              List.iter
+                (function Some chunk -> ignore (Store.put store chunk) | None -> ())
+                uploaded;
+              Store.set_manifest store ~path:pf.p_path
+                (List.map fst pf.p_manifest))
+      | None -> ());
+      t.publish ~path:pf.p_path ~content;
+      t.pushed <- (pf.p_path, content) :: t.pushed;
+      t.pushed_files <- t.pushed_files + 1;
+      Scope.incr t.scope "push_files";
+      u.acks <- (pf.p_slot, true) :: u.acks
+
+let on_chunk_data t u z =
+  let files = u.pending in
+  if List.is_empty files then
+    Error.malformed "Session: chunk data before any chunk was asked for";
+  u.pending <- [];
+  (* Each file's needed bytes are at most its checked length, but the
+     turn's total may still overflow: refuse a turn no payload could
+     carry. *)
+  let expected =
+    List.fold_left
+      (fun acc pf ->
+        let need = ref 0 in
+        List.iteri
+          (fun i (_, len) -> if pf.p_needed.(i) then need := !need + len)
+          pf.p_manifest;
+        if !need > max_int - acc then
+          Error.limit "Session: a push turn needs more than %d bytes" max_int;
+        acc + !need)
+      0 files
+  in
+  (* The payload's leading varint is its inflated length: hold it to the
+     turn's needed total before inflating anything. *)
+  let declared =
+    match Varint.read z ~pos:0 with
+    | v, _ -> v
+    | exception Invalid_argument _ ->
+        Error.truncated "Session: push payload without a length"
+  in
+  if not (Int.equal declared expected) then
+    Error.malformed "Session: push payload declares %d bytes, the turn asked for %d"
+      declared expected;
   let literals = Deflate.decompress z in
-  let buf = Buffer.create pf.p_len in
-  let received = ref [] in
+  if not (Int.equal (String.length literals) expected) then
+    Error.malformed "Session: push payload inflates to %d bytes, not %d"
+      (String.length literals) expected;
+  (* Cut the payload into every file's needed chunks, in order.  An
+     uploaded chunk that does not hash to its manifest key is the
+     client's fault — typed teardown, no retry. *)
   let cursor = ref 0 in
-  let store_miss = ref None in
-  List.iteri
-    (fun i (cfp, len) ->
-      match !store_miss with
-      | Some _ -> ()
-      | None ->
-          if pf.p_needed.(i) then begin
-            if !cursor + len > String.length literals then
-              Error.truncated
-                "Session: push literals for %s end inside chunk %d" pf.p_path i;
-            let chunk = String.sub literals !cursor len in
-            cursor := !cursor + len;
-            (* An uploaded chunk that does not hash to its manifest key
-               is the client's fault — typed teardown, no retry. *)
-            if not (Fp.equal (Fp.of_string chunk) cfp) then
-              Error.malformed "Session: pushed chunk %d of %s fails its hash"
-                i pf.p_path;
-            received := chunk :: !received;
-            Buffer.add_string buf chunk
-          end
-          else
-            match t.store with
-            | None -> store_miss := Some "no store behind a dedup bitmap"
-            | Some store -> (
-                match Store.get store cfp with
-                | Some chunk when Fp.equal (Fp.of_string chunk) cfp ->
-                    Buffer.add_string buf chunk
-                | Some _ ->
-                    store_miss :=
-                      Some (Printf.sprintf "chunk %s corrupt" (Fp.to_hex cfp))
-                | None ->
-                    store_miss :=
-                      Some (Printf.sprintf "chunk %s vanished" (Fp.to_hex cfp))))
-    pf.p_manifest;
-  match !store_miss with
-  | Some what -> retry_or_fail t pf what
-  | None ->
-      if not (Int.equal !cursor (String.length literals)) then
-        Error.malformed "Session: %d stray literal bytes after push of %s"
-          (String.length literals - !cursor)
-          pf.p_path;
-      let content = Buffer.contents buf in
-      if not (Fp.equal (Fp.of_string content) pf.p_fp) then
-        retry_or_fail t pf "assembled file fails its fingerprint"
-      else begin
-        (match t.store with
-        | Some store ->
-            Scope.timed t.trace "store:io" (fun () ->
-                List.iter
-                  (fun chunk -> ignore (Store.put store chunk))
-                  (List.rev !received);
-                Store.set_manifest store ~path:pf.p_path
-                  (List.map fst pf.p_manifest))
-        | None -> ());
-        t.publish ~path:pf.p_path ~content;
-        t.pushed <- (pf.p_path, content) :: t.pushed;
-        t.pushed_files <- t.pushed_files + 1;
-        Scope.incr t.scope "push_files";
-        t.phase <- Expect_push;
-        [ Msg.File_ack [ (0, true) ] ]
-      end
+  let uploads =
+    List.map
+      (fun pf ->
+        List.mapi
+          (fun i (cfp, len) ->
+            if pf.p_needed.(i) then begin
+              let chunk = String.sub literals !cursor len in
+              cursor := !cursor + len;
+              if not (Fp.equal (Fp.of_string chunk) cfp) then
+                Error.malformed "Session: pushed chunk %d of %s fails its hash"
+                  i pf.p_path;
+              Some chunk
+            end
+            else None)
+          pf.p_manifest)
+      files
+  in
+  List.iter2 (assemble t u) files uploads;
+  if u.push_done then end_upload_turn t u else []
 
 let dispatch t msg =
   match (t.phase, msg) with
@@ -423,13 +524,24 @@ let dispatch t msg =
   | Transfer batch, ((Msg.Matched _ | Msg.File_ack _) as m) ->
       let replies = Batch.Serve.on_message batch m in
       replies @ close_if_complete t batch
-  | ( (Expect_announce | Expect_push),
-      Msg.Push_begin { path; file_len; fp; manifest } ) ->
-      on_push_begin t ~path ~file_len ~fp ~manifest
-  | Expect_chunks pf, Msg.Chunk_data z -> on_chunk_data t pf z
-  | (Expect_announce | Expect_push), Msg.Push_done ->
+  | Expect_announce, Msg.Push_begin items ->
+      let u =
+        { opened = 0; pending = []; acks = []; needs = []; push_done = false }
+      in
+      t.phase <- Upload u;
+      on_push_begin t u items
+  | Expect_announce, Msg.Push_done ->
       t.phase <- Done;
-      [ Msg.Bye { root = Meta_wire.collection_root (List.rev t.pushed) } ]
+      [ Msg.Bye { root = pushed_root t } ]
+  | Upload u, Msg.Chunk_data z -> on_chunk_data t u z
+  (* A client turn goes on past its Chunk_data: the next files, or
+     Push_done, close it. *)
+  | Upload ({ pending = []; push_done = false; _ } as u), Msg.Push_begin items
+    ->
+      on_push_begin t u items
+  | Upload ({ pending = []; push_done = false; _ } as u), Msg.Push_done ->
+      u.push_done <- true;
+      end_upload_turn t u
   | _, Msg.Error_msg m ->
       Error.fail
         (Error.Disconnected (Printf.sprintf "Session: peer error: %s" m))

@@ -16,15 +16,19 @@
     fallback) — and finally [Bye] with the collection root.
 
     The first message after [Welcome] picks the direction: [Announce]
-    starts a pull as above, [Push_begin] starts an upload.  A push runs
-    per file: the client's chunk manifest is answered with a residency
-    bitmap from the shared {!Fsync_store.Store} (everything-needed when
-    the daemon has none), the uploaded chunks are hash-verified,
-    assembled with the resident ones and checked against the file
-    fingerprint, then persisted and published.  If the {e store} lets
-    the assembly down (a chunk vanished or corrupted underneath the
-    bitmap) the session re-requests every chunk once; a second failure
-    — or any client-side hash mismatch — is a typed teardown. *)
+    starts a pull as above, [Push_begin] starts an upload.  A push moves
+    every file of a client turn in lockstep (fsyncd/1 rev 5): each
+    chunk manifest is answered with a residency bitmap from the shared
+    {!Fsync_store.Store} (everything-needed when the daemon has none),
+    all in one [Chunk_need] frame; the turn's one [Chunk_data] payload
+    is checked against the needed total before it is inflated, its
+    chunks hash-verified, assembled with the resident ones and checked
+    against each file's fingerprint, then persisted, published and
+    acked in one [File_ack] frame.  If the {e store} lets a file's
+    assembly down (a chunk vanished or corrupted underneath the bitmap)
+    the session re-requests all of that file's chunks once; a second
+    failure — or any client-side hash or length mismatch — is a typed
+    teardown. *)
 
 type t
 

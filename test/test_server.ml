@@ -83,14 +83,18 @@ let test_msg_roundtrip () =
       Msg.Bye { root = fp };
       Msg.Error_msg "went wrong";
       Msg.Push_begin
-        {
-          path = "up/loaded.txt";
-          file_len = 123;
-          fp;
-          manifest = [ (fp, 100); (Fp.of_string "other chunk", 23) ];
-        };
-      Msg.Push_begin { path = "empty.txt"; file_len = 0; fp; manifest = [] };
-      Msg.Chunk_need "\x05\x80";
+        [
+          ( 0,
+            {
+              Msg.path = "up/loaded.txt";
+              file_len = 123;
+              fp;
+              manifest = [ (fp, 100); (Fp.of_string "other chunk", 23) ];
+            } );
+          (9, { Msg.path = "empty.txt"; file_len = 0; fp; manifest = [] });
+        ];
+      Msg.Push_begin [];
+      Msg.Chunk_need [ (0, "\x05\x80"); (9, "") ];
       Msg.Chunk_data "deflated-chunk-bytes";
       Msg.Push_done;
       Msg.Resume { root = fp; bitmap = "\x05\xff\x00" };
@@ -919,6 +923,218 @@ let test_push_dedup_two_clients () =
       | _ -> Alcotest.fail "one result expected");
       Store.close store)
 
+(* ---- batched push (fsyncd/1 rev 5): flat round trips, typed frames ---- *)
+
+let test_push_roundtrips_flat () =
+  (* Every file of a push moves in lockstep: hello, begin/need and
+     data/ack+bye, whatever the file count. *)
+  List.iter
+    (fun n ->
+      let tree = mk_files (500 + n) n in
+      let daemon = Daemon.create [] in
+      (match Loopback.run_pushes ~daemon [ tree ] with
+      | [ r ] ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d files pushed" n)
+            n r.Loopback.pusher.Pusher.files_pushed;
+          if r.Loopback.roundtrips > 4 then
+            Alcotest.failf "a push of %d files took %d round trips" n
+              r.Loopback.roundtrips
+      | _ -> Alcotest.fail "one result expected");
+      (match Loopback.run_pulls ~daemon [ [] ] with
+      | [ r ] -> check_files "pushed tree served" tree r.Loopback.files
+      | _ -> Alcotest.fail "one result expected");
+      Daemon.shutdown daemon)
+    [ 1; 10; 100 ]
+
+let push_item ~slot path content =
+  let fp = Fp.of_string content in
+  ( slot,
+    { Msg.path; file_len = String.length content; fp;
+      manifest = [ (fp, String.length content) ] } )
+
+(* A server session past its Hello, fed encoded frames. *)
+let push_session () =
+  let s = Session.create ~cache:(Sigcache.create ()) [] in
+  ignore
+    (Session.on_message s
+       (Msg.encode ~config:cfg
+          (Msg.Hello { version = Msg.version; trace = None; swarm = None })));
+  s
+
+let feed s m = Session.on_message s (Msg.encode ~config:cfg m)
+
+(* A payload whose leading varint declares [n] bytes, stored mode. *)
+let declaring n =
+  let b = Buffer.create 16 in
+  Fsync_util.Varint.write b n;
+  Buffer.add_char b '\000';
+  Buffer.contents b
+
+let test_push_frames_rejected () =
+  let enc m = Msg.encode ~config:cfg m in
+  let decode raw () = Msg.decode ~config:cfg raw in
+  let a = push_item ~slot:0 "a" "alpha" and b = push_item ~slot:1 "b" "beta" in
+  (* descending and duplicate slots fail in the decoder *)
+  expect_typed "descending begin slots" (decode (enc (Msg.Push_begin [ b; a ])));
+  expect_typed "repeated begin slot"
+    (decode (enc (Msg.Push_begin [ a; (0, snd b) ])));
+  expect_typed "descending need slots"
+    (decode (enc (Msg.Chunk_need [ (3, "\x80"); (1, "\x80") ])));
+  expect_typed "repeated need slot"
+    (decode (enc (Msg.Chunk_need [ (2, "\x80"); (2, "") ])));
+  expect_typed "need bitmap past the frame" (decode "N\x00\x32ab");
+  (* out of range on the server: slots open in order, once *)
+  expect_typed "first slot not 0" (fun () ->
+      feed (push_session ()) (Msg.Push_begin [ push_item ~slot:1 "b" "beta" ]));
+  expect_typed "an empty begin turn" (fun () ->
+      feed (push_session ()) (Msg.Push_begin []));
+  let s = push_session () in
+  ignore (feed s (Msg.Push_begin [ a ]));
+  ignore (feed s (Msg.Chunk_data (Fsync_compress.Deflate.compress "alpha")));
+  expect_typed "slot reopened" (fun () -> feed s (Msg.Push_begin [ a ]));
+  (* chunk data before any chunk was asked for *)
+  expect_typed "data before the first need" (fun () ->
+      feed (push_session ()) (Msg.Chunk_data (Fsync_compress.Deflate.compress "")));
+  let s = push_session () in
+  ignore (feed s (Msg.Push_begin [ a ]));
+  ignore (feed s (Msg.Chunk_data (Fsync_compress.Deflate.compress "alpha")));
+  expect_typed "a second data frame in one turn" (fun () ->
+      feed s (Msg.Chunk_data (Fsync_compress.Deflate.compress "")));
+  let s = push_session () in
+  ignore (feed s (Msg.Push_begin [ a ]));
+  expect_typed "begin before the data it owes" (fun () ->
+      feed s (Msg.Push_begin [ push_item ~slot:1 "b" "beta" ]));
+  (* a payload whose declared length is not the turn's needed total *)
+  List.iter
+    (fun (what, z) ->
+      let s = push_session () in
+      ignore (feed s (Msg.Push_begin [ a; b ]));
+      expect_typed what (fun () -> feed s (Msg.Chunk_data z)))
+    [
+      ("payload one byte long", Fsync_compress.Deflate.compress "alphabetax");
+      ("payload short", Fsync_compress.Deflate.compress "alpha");
+      ("payload declaring 2^50", declaring (1 lsl 50));
+      ("payload without a length", "");
+    ];
+  (* the right length with the wrong bytes fails the chunk hash *)
+  let s = push_session () in
+  ignore (feed s (Msg.Push_begin [ a; b ]));
+  expect_typed "chunk bytes swapped" (fun () ->
+      feed s (Msg.Chunk_data (Fsync_compress.Deflate.compress "betaalpha")));
+  (* out of range, repeated or unowed on the client *)
+  let pusher () =
+    let p = Pusher.create [ ("a", "alpha"); ("b", "beta") ] in
+    ignore (Pusher.start p);
+    let welcome =
+      Msg.Welcome
+        { version = Msg.version; file_count = 0; root = Fp.of_string ""; config = cfg }
+    in
+    (match List.map (Msg.decode ~config:cfg) (Pusher.on_message p (enc welcome)) with
+    | [ Msg.Push_begin [ (0, _); (1, _) ] ] -> ()
+    | _ -> Alcotest.fail "both files open in the first turn");
+    p
+  in
+  let to_p p m () = Pusher.on_message p (enc m) in
+  expect_typed "need past the slots" (to_p (pusher ()) (Msg.Chunk_need [ (2, "\x80") ]));
+  expect_typed "ack before any data" (to_p (pusher ()) (Msg.File_ack [ (0, true) ]));
+  expect_typed "bye with slots unanswered"
+    (to_p (pusher ()) (Msg.Bye { root = Fp.of_string "" }));
+  let p = pusher () in
+  ignore (to_p p (Msg.Chunk_need [ (0, "\x80") ]) ());
+  expect_typed "slot twice in one turn" (to_p p (Msg.Chunk_need [ (0, "\x80") ]));
+  expect_typed "bitmap of the wrong size"
+    (to_p (pusher ()) (Msg.Chunk_need [ (0, "\x80\x80") ]))
+
+let test_hostile_push_teardown () =
+  (* A push declaring a 2^50-byte file must fail its own session typed:
+     an allocation sized by that length would raise Out_of_memory,
+     which Error.guard does not convert, and stop the event loop for
+     every session. *)
+  let server_files = mk_files 97 5 in
+  let daemon = Daemon.create server_files in
+  let hostile payload =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Daemon.add_connection daemon b;
+    let tr = Fsync_net.Fd_transport.of_fd a in
+    let ch = Fsync_net.Fd_transport.channel tr in
+    let fp = Fp.of_string "evil" in
+    List.iter
+      (fun m ->
+        Channel.send ch ~label:"t" Channel.Client_to_server
+          (Msg.encode ~config:cfg m))
+      [
+        Msg.Hello { version = Msg.version; trace = None; swarm = None };
+        Msg.Push_begin
+          [ (0, { Msg.path = "evil"; file_len = 1 lsl 50; fp;
+                  manifest = [ (fp, 1 lsl 50) ] }) ];
+        Msg.Chunk_data payload;
+      ];
+    tr
+  in
+  let hostiles = [ hostile "\x05junk"; hostile (declaring (1 lsl 50)) ] in
+  let client_files = mutate_some 97 server_files in
+  (match Loopback.run_pulls ~daemon [ client_files ] with
+  | [ r ] -> check_files "concurrent pull completes" server_files r.Loopback.files
+  | _ -> Alcotest.fail "one result expected");
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Daemon.active_sessions daemon > 0 && Unix.gettimeofday () < deadline do
+    Daemon.step ~timeout_s:0.01 daemon
+  done;
+  let ds = Daemon.stats daemon in
+  Alcotest.(check int) "hostile sessions failed" 2 ds.Daemon.failed;
+  Alcotest.(check int) "the pull completed" 1 ds.Daemon.completed;
+  List.iter
+    (fun tr ->
+      let ch = Fsync_net.Fd_transport.channel tr in
+      let rec last acc =
+        match Channel.recv_opt ch Channel.Server_to_client with
+        | Some raw -> last (Some (Msg.decode ~config:cfg raw))
+        | None | (exception Fsync_net.Fd_transport.Closed) -> acc
+      in
+      (match last None with
+      | Some (Msg.Error_msg _) -> ()
+      | Some m -> Alcotest.failf "expected Error_msg, got %s" (Msg.label m)
+      | None -> Alcotest.fail "expected the typed teardown");
+      Fsync_net.Fd_transport.close tr)
+    hostiles;
+  Daemon.shutdown daemon
+
+let test_push_store_retry_batched () =
+  (* A resident chunk corrupted under the bitmap: the server asks for
+     that file again, all of it, in the turn that acks the others. *)
+  let served = mk_files 43 3 in
+  with_store_root (fun root ->
+      let store = Store.open_store root in
+      let reg = Fsync_obs.Registry.create () in
+      let daemon =
+        Daemon.create ~scope:(Fsync_obs.Scope.of_registry reg) ~store served
+      in
+      let victim, _ = List.hd served in
+      (match Store.manifest store ~path:victim with
+      | Some ((cfp, _) :: _) ->
+          let hex = Fp.to_hex cfp in
+          let path =
+            Filename.concat root
+              (Filename.concat "chunks" (Filename.concat (String.sub hex 0 2) hex))
+          in
+          Out_channel.with_open_bin path (fun oc -> output_string oc "garbage")
+      | Some [] | None -> Alcotest.fail "the victim has no manifest");
+      let tree =
+        List.hd served :: List.map (fun (p, c) -> ("up/" ^ p, c)) (mk_files 44 2)
+      in
+      (match Loopback.run_pushes ~daemon [ tree ] with
+      | [ r ] ->
+          Alcotest.(check int) "every file pushed" (List.length tree)
+            r.Loopback.pusher.Pusher.files_pushed;
+          Alcotest.(check bool) "retry inside the round-trip bound" true
+            (r.Loopback.roundtrips <= 4)
+      | _ -> Alcotest.fail "one result expected");
+      Alcotest.(check int) "one store retry" 1
+        (Fsync_obs.Registry.counter reg "push_store_retries");
+      Daemon.shutdown daemon;
+      Store.close store)
+
 let test_daemon_restart_warm () =
   let server_files = mk_files 41 10 in
   let client_files = mutate_some 41 server_files in
@@ -1117,6 +1333,35 @@ let test_busy_shed () =
             true
             (elapsed >= 0.3))
 
+let test_push_resume_between_turns () =
+  (* Five 1 MiB files: the first four fill a turn's budget, so the push
+     takes two data turns.  The link breaks on the second data frame,
+     after the first turn's acks arrived; the retry inside Push.run
+     re-sends only the unacked file. *)
+  let mib = 1 lsl 20 in
+  let tree =
+    List.init 5 (fun i ->
+        ( Printf.sprintf "big/f%d.bin" i,
+          String.init mib (fun j -> Char.chr (97 + ((j * (i + 3)) mod 26))) ))
+  in
+  Alcotest.(check bool) "four files fill one turn" true
+    (4 * mib >= Batch.turn_budget && 3 * mib < Batch.turn_budget);
+  with_forked_daemon [] (fun port ->
+      let fault =
+        { Fsync_net.Fault.none with disconnect_after = Some 5; max_disconnects = 1 }
+      in
+      let r =
+        Push.run ~attempts:2 ~fault ~host:"127.0.0.1" ~port ~idle_timeout_s:10.0
+          tree
+      in
+      Alcotest.(check int) "second attempt" 2 r.Push.attempts;
+      Alcotest.(check int) "acked files skipped" 4 r.Push.stats.Pusher.resumed_files;
+      Alcotest.(check int) "only the unacked file re-sent" 1
+        r.Push.stats.Pusher.files_pushed;
+      Alcotest.(check int) "the resumed session is one turn" 3 r.Push.roundtrips;
+      let pulled = Pull.run ~host:"127.0.0.1" ~port ~idle_timeout_s:10.0 [] in
+      check_files "every file served" tree pulled.Pull.files)
+
 let fork_store_daemon ~root files =
   let store = Store.open_store root in
   let daemon = Daemon.create ~store files in
@@ -1220,7 +1465,7 @@ let test_hello_version_compat () =
   let files = mk_files 91 2 in
   let mk () = Session.create ~cache:(Sigcache.create ()) files in
   let hello v trace = Msg.encode ~config:cfg (Msg.Hello { version = v; trace; swarm = None }) in
-  (* Revision 4 is a clean break: Hellos of revisions 1-3 (with or
+  (* Revision 5 is a clean break: Hellos of revisions 1-4 (with or
      without a trace id), and any revision past the current one, are
      rejected with a typed error and fail the session. *)
   List.iter
@@ -1236,23 +1481,23 @@ let test_hello_version_compat () =
       | _ -> Alcotest.failf "version %d accepted" v)
     [
       (0, None); (1, None); (2, Some (String.make Msg.trace_bytes '\001'));
-      (3, None); (Msg.version + 1, None);
+      (3, None); (4, None); (Msg.version + 1, None);
     ];
-  (* A v4 client's trace id is adopted verbatim, and the Welcome
-     answers at v4. *)
+  (* A v5 client's trace id is adopted verbatim, and the Welcome
+     answers at v5. *)
   let id = Trace_id.mint () in
-  let s4 = mk () in
-  (match Session.on_message s4 (hello Msg.version (Some (Trace_id.to_raw id))) with
+  let s5 = mk () in
+  (match Session.on_message s5 (hello Msg.version (Some (Trace_id.to_raw id))) with
   | [ reply ] -> (
       match Msg.decode ~config:cfg reply with
       | Msg.Welcome { version; _ } ->
-          Alcotest.(check int) "welcome at v4" 4 version
+          Alcotest.(check int) "welcome at v5" 5 version
       | m -> Alcotest.failf "expected Welcome, got %s" (Msg.label m))
   | l -> Alcotest.failf "expected 1 reply, got %d" (List.length l));
-  match Session.trace_id s4 with
+  match Session.trace_id s5 with
   | Some sid ->
       Alcotest.(check bool) "wire id adopted" true (Trace_id.equal id sid)
-  | None -> Alcotest.fail "v4 hello left no trace id"
+  | None -> Alcotest.fail "v5 hello left no trace id"
 
 let test_trace_shared_id_and_coverage () =
   let server_files = mk_files 83 6 in
@@ -1571,10 +1816,15 @@ let suite =
     ("sigcache lookup stats", `Quick, test_sigcache_lookup_stats);
     ("push loopback", `Quick, test_push_loopback);
     ("push dedup two clients", `Quick, test_push_dedup_two_clients);
+    ("push round trips flat in file count", `Quick, test_push_roundtrips_flat);
+    ("push frames rejected", `Quick, test_push_frames_rejected);
+    ("hostile push teardown", `Quick, test_hostile_push_teardown);
+    ("push store retry batched", `Quick, test_push_store_retry_batched);
     ("daemon restart warm", `Quick, test_daemon_restart_warm);
     ("resume pull", `Quick, test_resume_pull);
     ("resume pull of changed files", `Quick, test_resume_changed_pull);
     ("busy shed", `Quick, test_busy_shed);
+    ("push resume between turns", `Quick, test_push_resume_between_turns);
     ("sigkill mid-push soak", `Quick, test_sigkill_mid_push_soak);
     ("hello version compat", `Quick, test_hello_version_compat);
     ("trace shared id and coverage", `Quick, test_trace_shared_id_and_coverage);

@@ -97,11 +97,13 @@ let operation = function
       true
   | _ -> false
 
-(* R7 sinks: the declared size reaches an allocator. *)
+(* R7 sinks: the declared size reaches an allocator.  [Buffer.create]
+   counts: its initial size is allocated up front, so a declared length
+   sizing a buffer is as dangerous as one sizing a [Bytes]. *)
 let allocator = function
   | "Bytes.create" | "Bytes.make" | "Bytes.init" | "String.make"
   | "String.init" | "Array.make" | "Array.init" | "Array.create_float"
-  | "List.init" ->
+  | "List.init" | "Buffer.create" ->
       true
   | _ -> false
 

@@ -10,3 +10,8 @@ let entry_bytes s pos =
 let read_payload s pos =
   let len, pos = Varint.read s ~pos in
   (Bytes.create len, pos)
+
+(* A declared length sizing a buffer: the push assembly shape. *)
+let assembly_buffer s pos =
+  let len, _ = Varint.read s ~pos in
+  Buffer.create len

@@ -198,7 +198,8 @@ cp "$WORK/trace_report.txt" SMOKE_trace_report.txt
 cp "$WORK/status.json" SMOKE_status.json
 
 # ---- 6. store-backed variant: dedup push + warm restart --------------
-# Serve with --store, pull once and push an overlapping tree (the store
+# Serve with --store, pull once and push an overlapping multi-file tree
+# (in at most 4 round trips: pushes are batched per turn; the store
 # already holds the served chunks, so the push must dedup), kill the
 # daemon, restart it over the same store root and pull again: the
 # signature cache must warm-start from the persisted vectors.
@@ -252,6 +253,15 @@ PUSH_DEDUPED=$(sed -n 's/.*, \([0-9]*\) bytes deduped.*/\1/p' "$WORK/push.log")
 [ "${PUSH_DEDUPED:-0}" -gt 0 ] || fail "push deduped nothing against the \
 store:
 $(cat "$WORK/push.log")"
+# Every file of a push moves in lockstep (fsyncd/1 rev 5): hello,
+# begin/need, data/ack+bye — at most 4 round trips whatever the count.
+PUSH_FILES=$(find "$WORK/pushsrc" -type f | wc -l | tr -d ' ')
+PUSH_RTS=$(sed -n 's/.*, \([0-9][0-9]*\) round trips$/\1/p' "$WORK/push.log")
+[ -n "$PUSH_RTS" ] && [ "$PUSH_RTS" -le 4 ] || fail "push of $PUSH_FILES \
+files took ${PUSH_RTS:-an unreported number of} round trips (max 4):
+$(cat "$WORK/push.log")"
+[ "$PUSH_FILES" -gt 1 ] || fail "pushsrc holds a single file"
+echo "serve-smoke: push of $PUSH_FILES files in $PUSH_RTS round trips"
 stop_daemon
 MISSES=$(sed -n 's/.*sig cache: [0-9]* hits, \([0-9]*\) misses.*/\1/p' \
   "$WORK/serve_store1.out")
