@@ -1155,22 +1155,24 @@ let swarm_serve_cmd =
     let reg, scope = make_obs ~metrics ~trace_json in
     let replica = load_replica ~root ~peer:id ~scope in
     let peer = Fsync_swarm.Peer.create ~scope replica in
-    match Fsync_swarm.Peer.listen peer ~host ~port with
+    let daemon = Fsync_swarm.Peer.daemon peer in
+    match Fsync_server.Daemon.listen daemon ~host ~port with
     | bound ->
         Format.printf "swarm peer %s serving %s on %s:%d (%d files)@." id
           root host bound
           (List.length (Fsync_swarm.Replica.files replica));
-        let stop _ = Fsync_swarm.Peer.request_stop peer in
+        let stop _ = Fsync_server.Daemon.request_stop daemon in
         Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
         Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-        Fsync_swarm.Peer.run peer;
-        let st = Fsync_swarm.Peer.stats peer in
+        Fsync_server.Daemon.run daemon;
+        let st = Fsync_server.Daemon.stats daemon in
         Format.printf
           "swarm peer done: %d accepted (%d gossip, %d plain), %d \
            completed, %d failed, %d timeouts@."
-          st.Fsync_swarm.Peer.accepted st.Fsync_swarm.Peer.gossip_sessions
-          st.Fsync_swarm.Peer.plain_sessions st.Fsync_swarm.Peer.completed
-          st.Fsync_swarm.Peer.failed st.Fsync_swarm.Peer.timeouts;
+          st.accepted
+          (Fsync_swarm.Peer.gossip_sessions peer)
+          (Fsync_swarm.Peer.plain_sessions peer)
+          st.completed st.failed st.timeouts;
         emit_obs ~metrics ~trace_json reg;
         `Ok ()
     | exception Unix.Unix_error (e, _, _) ->

@@ -1,56 +1,22 @@
 (* One-shot blocking client for the daemon's admin plane: connect, send
    one framed request ("metrics" or "status"), read one framed reply,
-   close.  Shares the 4-byte framing with the data plane via
-   {!Fsync_net.Fd_transport}, so there is exactly one wire format to
-   harden. *)
+   close.  Dialed through the data plane's own {!Backoff.drive}, so
+   there is exactly one wire format and one client loop to harden. *)
 
-module Channel = Fsync_net.Channel
-module Fd_transport = Fsync_net.Fd_transport
 module Error = Fsync_core.Error
-module Monotonic = Fsync_obs.Monotonic
-
-let connect ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-  with
-  | () -> fd
-  | exception e ->
-      (match Unix.close fd with
-      | () -> ()
-      | exception Unix.Unix_error _ -> ());
-      raise e
 
 let request ?(timeout_s = 5.0) ~host ~port body =
-  let fd = connect ~host ~port in
-  let tr = Fd_transport.of_fd fd in
-  let ch = Fd_transport.channel tr in
-  let go () =
-    Channel.send ch ~label:"admin" Channel.Client_to_server body;
-    let deadline = Monotonic.now () +. timeout_s in
-    let rec recv () =
-      match Channel.recv_opt ch Channel.Server_to_client with
-      | Some reply -> reply
-      | None ->
-          if Monotonic.now () > deadline then
-            Error.fail
-              (Error.Channel_empty
-                 (Printf.sprintf "Admin: no reply to %S within %.1f s" body
-                    timeout_s));
-          ignore
-            (Fd_transport.wait_readable tr Channel.Server_to_client
-               ~timeout_s:0.2);
-          recv ()
-    in
-    recv ()
-  in
-  match go () with
-  | reply ->
-      Fd_transport.close tr;
-      reply
-  | exception e ->
-      Fd_transport.close tr;
-      raise e
+  let reply = ref None in
+  ignore
+    (Backoff.drive ~idle_timeout_s:timeout_s ~host ~port ~what:"Admin"
+       {
+         start = (fun () -> [ body ]);
+         on_message = (fun r -> reply := Some r; []);
+         finished = (fun () -> Option.is_some !reply);
+       });
+  match !reply with
+  | Some r -> r
+  | None -> Error.channel_empty "Admin: no reply to %S" body
 
 let metrics ?timeout_s ~host ~port () =
   request ?timeout_s ~host ~port "metrics"

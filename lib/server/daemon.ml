@@ -28,9 +28,20 @@ let default_config =
     busy_retry_after_s = 0.5;
   }
 
+type machine = {
+  on_message : string -> string list;
+  finished : unit -> bool;
+}
+
+type route = Read_only of (string * string) list | Machine of machine
+
+(* What answers a connection: a session, another dialect's machine, or
+   nothing yet while a routed daemon waits for the opening Hello. *)
+type handler = Unrouted | Session of Session.t | Other of machine
+
 type client = {
   conn : Conn.t;
-  session : Session.t;
+  mutable handler : handler;
   peer : string; (* "host:port" at accept time, for events and status *)
   treg : Fsync_obs.Registry.t option; (* per-session trace registry *)
   mutable last_activity : float;
@@ -50,6 +61,7 @@ type t = {
   scope : Scope.t;
   cache : Sigcache.t;
   store : Store.t option;
+  route : (Msg.swarm_hello option -> route) option;
   mutable listener : Unix.file_descr option;
   mutable admin_listener : Unix.file_descr option;
   mutable clients : client list;
@@ -88,8 +100,8 @@ let ingest_collection store files =
       Store.set_manifest store ~path fps)
     files
 
-let create ?(config = default_config) ?(scope = Scope.disabled) ?store files
-    =
+let create ?(config = default_config) ?(scope = Scope.disabled) ?store ?route
+    files =
   let config = { config with sync = Msg.validate_sync_config config.sync } in
   let cache = Sigcache.create ~max_entries:config.cache_entries ~scope () in
   let sig_persist_errors = ref 0 in
@@ -121,6 +133,7 @@ let create ?(config = default_config) ?(scope = Scope.disabled) ?store files
     scope;
     cache;
     store;
+    route;
     listener = None;
     admin_listener = None;
     clients = [];
@@ -196,8 +209,23 @@ let emit_event t kind fields =
            :: ("ts", Json.Float (Unix.gettimeofday ()))
            :: fields))
 
+let finished c =
+  match c.handler with
+  | Unrouted -> false
+  | Session s -> Session.finished s
+  | Other m -> m.finished ()
+
+let phase_name c =
+  match c.handler with
+  | Unrouted -> "hello"
+  | Session s -> Session.phase_name s
+  | Other _ -> "routed"
+
+let session c =
+  match c.handler with Session s -> Some s | Unrouted | Other _ -> None
+
 let json_trace c =
-  match Session.trace_id c.session with
+  match Option.bind (session c) Session.trace_id with
   | Some id -> Json.String (Trace_id.to_hex id)
   | None -> Json.Null
 
@@ -231,6 +259,15 @@ let peer_name fd =
   | Unix.ADDR_UNIX p -> if String.equal p "" then "local" else p
   | exception Unix.Unix_error _ -> "unknown"
 
+let open_session t treg ?publish files =
+  let trace =
+    match treg with
+    | Some reg -> Scope.of_registry reg
+    | None -> Scope.disabled
+  in
+  Session.create ~config:t.config.sync ~scope:t.scope ~trace ?store:t.store
+    ?publish ~cache:t.cache files
+
 let add_connection t fd =
   let peer = peer_name fd in
   let conn = Conn.create ~max_outbox:t.config.max_outbox fd in
@@ -241,19 +278,20 @@ let add_connection t fd =
     | Some _ -> Some (Registry.create ())
     | None -> None
   in
-  let trace =
-    match treg with
-    | Some reg -> Scope.of_registry reg
-    | None -> Scope.disabled
-  in
-  let session =
-    Session.create ~config:t.config.sync ~scope:t.scope ~trace ?store:t.store
-      ~publish:(fun ~path ~content -> publish t ~path ~content)
-      ~cache:t.cache t.files
+  (* A plain daemon's session serves the collection as of this call; a
+     routed one waits for the opening Hello to pick its machine. *)
+  let handler =
+    match t.route with
+    | None ->
+        Session
+          (open_session t treg
+             ~publish:(fun ~path ~content -> publish t ~path ~content)
+             t.files)
+    | Some _ -> Unrouted
   in
   let now = Monotonic.now () in
   t.clients <-
-    { conn; session; peer; treg; last_activity = now; failing = false;
+    { conn; handler; peer; treg; last_activity = now; failing = false;
       t0 = now }
     :: t.clients;
   t.accepted <- t.accepted + 1;
@@ -276,11 +314,33 @@ let teardown t c err =
     | exception Error.E _ -> ()
   end
 
+(* The opening Hello of a routed connection picks its machine: a
+   read-only session over the files the route names, or another
+   dialect's machine.  Either one then answers the Hello itself. *)
+let route_hello t c frame =
+  match (t.route, Msg.decode ~config:t.config.sync frame) with
+  | Some route, Msg.Hello { swarm; _ } -> (
+      match route swarm with
+      | Read_only files ->
+          let s = open_session t c.treg files in
+          c.handler <- Session s;
+          Session.on_message s frame
+      | Machine m ->
+          c.handler <- Other m;
+          m.on_message frame)
+  | _ -> Error.malformed "Daemon: expected Hello as the opening frame"
+
+let on_frame t c frame =
+  match c.handler with
+  | Unrouted -> route_hello t c frame
+  | Session s -> Session.on_message s frame
+  | Other m -> m.on_message frame
+
 let feed_session t c frames =
   List.iter
     (fun frame ->
       if not c.failing then
-        match Error.guard (fun () -> Session.on_message c.session frame) with
+        match Error.guard (fun () -> on_frame t c frame) with
         | Ok replies -> List.iter (Conn.queue_msg c.conn) replies
         | Error err -> teardown t c err)
     frames
@@ -338,7 +398,7 @@ let admit_admin t fd =
 let finish t c ~ok =
   Conn.close c.conn;
   let duration_s = Monotonic.now () -. c.t0 in
-  let stats = Session.stats c.session in
+  let stats = Option.map Session.stats (session c) in
   if ok then begin
     t.completed <- t.completed + 1;
     Scope.incr t.scope "sessions_completed";
@@ -348,13 +408,15 @@ let finish t c ~ok =
     t.failed <- t.failed + 1;
     Scope.incr t.scope "sessions_failed"
   end;
-  if stats.resumed_jobs > 0 then
-    emit_event t "session_resume"
-      [
-        ("peer", Json.String c.peer);
-        ("trace", json_trace c);
-        ("files_skipped", Json.Int stats.resumed_jobs);
-      ];
+  (match stats with
+  | Some st when st.resumed_jobs > 0 ->
+      emit_event t "session_resume"
+        [
+          ("peer", Json.String c.peer);
+          ("trace", json_trace c);
+          ("files_skipped", Json.Int st.resumed_jobs);
+        ]
+  | Some _ | None -> ());
   if duration_s > t.slow_session_s then
     emit_event t "slow_session"
       [
@@ -364,23 +426,29 @@ let finish t c ~ok =
         ("threshold_s", Json.Float t.slow_session_s);
       ];
   emit_event t "session_end"
-    [
-      ("peer", Json.String c.peer);
-      ("trace", json_trace c);
-      ("ok", Json.Bool ok);
-      ("phase", Json.String (Session.phase_name c.session));
-      ("duration_s", Json.Float duration_s);
-      ("bytes_in", Json.Int (Conn.bytes_in c.conn));
-      ("bytes_out", Json.Int (Conn.bytes_out c.conn));
-      ("rounds", Json.Int stats.rounds);
-      ("files_pushed", Json.Int stats.pushed_files);
-      ("full_fallbacks", Json.Int stats.full_fallbacks);
-    ];
+    ([
+       ("peer", Json.String c.peer);
+       ("trace", json_trace c);
+       ("ok", Json.Bool ok);
+       ("phase", Json.String (phase_name c));
+       ("duration_s", Json.Float duration_s);
+       ("bytes_in", Json.Int (Conn.bytes_in c.conn));
+       ("bytes_out", Json.Int (Conn.bytes_out c.conn));
+     ]
+    @
+    match stats with
+    | Some st ->
+        [
+          ("rounds", Json.Int st.rounds);
+          ("files_pushed", Json.Int st.pushed_files);
+          ("full_fallbacks", Json.Int st.full_fallbacks);
+        ]
+    | None -> []);
   (* The session's private trace registry (spans + per-session byte
      counters) streams out as one JSONL block, already stamped with the
      trace id and role by the session's Hello handling. *)
-  match (t.trace_stream, c.treg) with
-  | Some sink, Some reg ->
+  match (t.trace_stream, c.treg, stats) with
+  | Some sink, Some reg, Some stats ->
       Registry.add reg "bytes_in" (Conn.bytes_in c.conn);
       Registry.add reg "bytes_out" (Conn.bytes_out c.conn);
       Registry.add reg "rounds" stats.rounds;
@@ -398,18 +466,18 @@ let sweep t =
           (* A write hit a dead peer: nothing more can be delivered.
              Close the fd and account the session instead of leaking
              both. *)
-          if not (Session.finished c.session || c.failing) then
+          if not (finished c || c.failing) then
             Trace.log "daemon: session teardown: %s"
               (Error.to_string
                  (Error.Disconnected "Session: peer went away mid-write"));
-          finish t c ~ok:(Session.finished c.session)
+          finish t c ~ok:(finished c)
         end
         else begin
           (* Timeouts: one typed notification, then one more period to
              flush it before the close below reaps the connection. *)
           if
             (not c.failing)
-            && (not (Session.finished c.session))
+            && (not (finished c))
             && now -. c.last_activity > t.config.session_timeout_s
           then begin
             t.timeouts <- t.timeouts + 1;
@@ -427,7 +495,7 @@ let sweep t =
             c.last_activity <- now
           end;
           if not (Conn.wants_write c.conn) then
-            if Session.finished c.session then finish t c ~ok:true
+            if finished c then finish t c ~ok:true
             else if c.failing then finish t c ~ok:false
         end)
     t.clients;
@@ -586,7 +654,7 @@ let status_doc t =
                  [
                    ("peer", Json.String c.peer);
                    ("trace", json_trace c);
-                   ("phase", Json.String (Session.phase_name c.session));
+                   ("phase", Json.String (phase_name c));
                    ("age_s", Json.Float (now -. c.t0));
                    ("idle_s", Json.Float (now -. c.last_activity));
                    ("bytes_in", Json.Int (Conn.bytes_in c.conn));
@@ -716,14 +784,14 @@ let step ?(timeout_s = 0.05) t =
                 (* The peer already closed: an Error_msg could never
                    reach it, so skip the teardown queueing and just
                    account the session. *)
-                if not (Session.finished c.session) then
+                if not (finished c) then
                   Trace.log "daemon: session teardown: %s"
                     (Error.to_string
                        (Error.Disconnected "Session: peer went away"));
-                finish t c ~ok:(Session.finished c.session)
+                finish t c ~ok:(finished c)
             | Ok (`Msgs (frames, eof)) ->
                 feed_session t c frames;
-                if eof && not (Session.finished c.session) then begin
+                if eof && not (finished c) then begin
                   Trace.log "daemon: session teardown: %s"
                     (Error.to_string
                        (Error.Disconnected "Session: peer went away"));
@@ -755,7 +823,7 @@ let shutdown t =
       if not (Conn.closed c.conn) then begin
         Conn.handle_writable c.conn;
         Conn.close c.conn;
-        finish t c ~ok:(Session.finished c.session)
+        finish t c ~ok:(finished c)
       end)
     t.clients;
   t.clients <- [];
@@ -800,7 +868,7 @@ let run ?(timeout_s = 0.05) ?(drain_s = 2.0) t =
      a bounded drain window, then close whatever remains. *)
   List.iter
     (fun c ->
-      if not (Session.finished c.session) then
+      if not (finished c) then
         teardown t c (Error.Disconnected "Session: server shutting down"))
     t.clients;
   let deadline = Monotonic.now () +. drain_s in

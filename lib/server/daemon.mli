@@ -1,9 +1,12 @@
 (** The sync daemon: a single-threaded [Unix.select] event loop serving
-    many fsyncd/1 sessions concurrently.
+    many fsyncd/1 sessions concurrently — the only event loop in the
+    library.  The swarm's [Peer] is this daemon with a route
+    (see {!create}).
 
     Concurrency comes from interleaving, not threads: every connection
-    owns a non-blocking {!Conn} and a {!Session} state machine, and each
-    {!step} advances whichever of them have I/O ready.  A client that
+    owns a non-blocking {!Conn} and a state machine (a {!Session}, or
+    the machine a route picked), and each {!step} advances whichever of
+    them have I/O ready.  A client that
     reads slowly only parks its own outbox — once it crosses the
     backpressure bound the loop stops reading from it (so the session
     produces nothing more for it) until the socket drains, while every
@@ -36,10 +39,25 @@ val default_config : config
 (** 64 sessions, 30 s timeout, 4 MiB outbox, 1024 cache entries, 0.5 s
     busy retry-after. *)
 
+type machine = {
+  on_message : string -> string list;
+      (** one frame in, encoded replies out; raises typed errors *)
+  finished : unit -> bool;
+}
+(** A server state machine of another dialect, fed exactly like a
+    {!Session}: the opening [Hello] first. *)
+
+type route =
+  | Read_only of (string * string) list
+      (** a {!Session} over these files with no publisher: it serves
+          pulls and refuses uploads with a typed teardown *)
+  | Machine of machine
+
 val create :
   ?config:config ->
   ?scope:Fsync_obs.Scope.t ->
   ?store:Fsync_store.Store.t ->
+  ?route:(Msg.swarm_hello option -> route) ->
   (string * string) list ->
   t
 (** Serve the given [(path, content)] collection.  With [store], the
@@ -48,7 +66,17 @@ val create :
     and the signature cache is wired to the store's [sigs/] directory:
     vectors computed on a miss persist, and persisted vectors from a
     previous run are seeded back as warm entries — the warm-start
-    protocol of DESIGN.md §11. *)
+    protocol of DESIGN.md §11.
+
+    Without [route], every connection gets a {!Session} over the
+    collection as it stands at {!add_connection}, publishing verified
+    pushes back into it.  With [route], a connection's opening frame
+    must be a [Hello], and [route] picks its machine from the Hello's
+    swarm extension: this is how the swarm's [Peer] serves gossip
+    exchanges and plain read-only pulls from one loop (DESIGN.md §13).
+    Everything else — limits, [Busy] shedding, idle timeouts,
+    teardown, counters, the event log — is the same for every
+    machine. *)
 
 val listen : t -> host:string -> port:int -> int
 (** Bind and listen on [host] (numeric, e.g. ["127.0.0.1"]) and [port];
@@ -129,7 +157,8 @@ val cache : t -> Sigcache.t
 val store : t -> Fsync_store.Store.t option
 
 val files : t -> (string * string) list
-(** The currently served collection (pushes update it live). *)
+(** The currently served collection (pushes update it live).  A routed
+    daemon's sessions serve what the route names instead. *)
 
 val sigs_loaded : t -> int
 (** Persisted signature vectors seeded into the cache at startup. *)

@@ -19,6 +19,15 @@ let adopt_trace trace =
   | Some id -> id
   | None -> Trace_id.mint ()
 
+let client_trace scope trace_id =
+  let id = match trace_id with Some id -> id | None -> Trace_id.mint () in
+  (match Fsync_obs.Scope.registry scope with
+  | Some reg ->
+      Fsync_obs.Registry.set_trace reg ~trace:(Trace_id.to_hex id)
+        ~role:"client"
+  | None -> ());
+  id
+
 let welcome ~client_version ~file_count ~root ~config =
   Msg.Welcome
     {

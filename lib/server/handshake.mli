@@ -22,6 +22,13 @@ val adopt_trace : string option -> Fsync_obs.Trace_id.t
 (** The server side of trace propagation: adopt the id carried by the
     Hello, or mint one for a v1 peer that sent none (DESIGN.md §9). *)
 
+val client_trace :
+  Fsync_obs.Scope.t -> Fsync_obs.Trace_id.t option -> Fsync_obs.Trace_id.t
+(** The client side: the given id, or a fresh one, stamped with role
+    ["client"] onto the scope's registry.  A retrying client announces
+    it in every attempt, so the daemon's per-attempt sessions all join
+    under one trace. *)
+
 val welcome :
   client_version:int ->
   file_count:int ->

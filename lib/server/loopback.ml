@@ -25,11 +25,8 @@ let count_dir ch dir =
              false)
        (Channel.transcript ch))
 
-let send_all ch msgs =
-  List.iter
-    (fun m ->
-      Channel.send ch ~label:(Msg.wire_label m) Channel.Client_to_server m)
-    msgs
+let send ch dir msgs =
+  List.iter (fun m -> Channel.send ch ~label:(Msg.wire_label m) dir m) msgs
 
 let result_of ch puller =
   {
@@ -42,46 +39,56 @@ let result_of ch puller =
     roundtrips = Channel.roundtrips ch;
   }
 
-let run_pulls ?(max_iterations = 1_000_000) ?prepare ~daemon clients =
-  let states =
+let puller_machine p =
+  {
+    Backoff.start = (fun () -> Puller.start p);
+    on_message = Puller.on_message p;
+    finished = (fun () -> Puller.finished p);
+  }
+
+let pump ?(max_iterations = 1_000_000) ?prepare ~daemon ~what machines =
+  let clients =
     List.mapi
-      (fun i files ->
+      (fun i (m : Backoff.machine) ->
         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Daemon.add_connection daemon b;
         let tr = Fd_transport.of_fd a in
-        (match prepare with
-        | Some f -> f i (Fd_transport.channel tr)
-        | None -> ());
-        let puller = Puller.create files in
-        send_all (Fd_transport.channel tr) (Puller.start puller);
-        (tr, puller, ref false))
-      clients
+        let ch = Fd_transport.channel tr in
+        (match prepare with Some f -> f i ch | None -> ());
+        send ch Channel.Client_to_server (m.start ());
+        (tr, m))
+      machines
   in
-  let remaining () = List.exists (fun (_, _, d) -> not !d) states in
+  let remaining () =
+    List.exists (fun (_, m) -> not (m.Backoff.finished ())) clients
+  in
   let iter = ref 0 in
-  while remaining () && !iter < max_iterations do
-    incr iter;
-    Daemon.step ~timeout_s:0.0 daemon;
-    List.iter
-      (fun (tr, puller, done_) ->
-        if not !done_ then
-          let ch = Fd_transport.channel tr in
-          match Channel.recv_opt ch Channel.Server_to_client with
-          | Some frame ->
-              send_all ch (Puller.on_message puller frame);
-              if Puller.finished puller then done_ := true
-          | None -> ())
-      states
-  done;
-  if remaining () then
-    Error.fail
-      (Error.Channel_empty "Loopback: pulls stalled before completion");
-  List.map
-    (fun (tr, puller, _) ->
-      let r = result_of (Fd_transport.channel tr) puller in
-      Fd_transport.close tr;
-      r)
-    states
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (tr, _) -> Fd_transport.close tr) clients)
+    (fun () ->
+      while remaining () && !iter < max_iterations do
+        incr iter;
+        Daemon.step ~timeout_s:0.0 daemon;
+        List.iter
+          (fun (tr, (m : Backoff.machine)) ->
+            if not (m.finished ()) then
+              let ch = Fd_transport.channel tr in
+              match Channel.recv_opt ch Channel.Server_to_client with
+              | Some frame ->
+                  send ch Channel.Client_to_server (m.on_message frame)
+              | None -> ())
+          clients
+      done;
+      if remaining () then
+        Error.channel_empty "Loopback: %s stalled before completion" what);
+  List.map (fun (tr, _) -> Fd_transport.channel tr) clients
+
+let run_pulls ?max_iterations ?prepare ~daemon clients =
+  let pullers = List.map (fun files -> Puller.create files) clients in
+  List.map2 result_of
+    (pump ?max_iterations ?prepare ~daemon ~what:"pulls"
+       (List.map puller_machine pullers))
+    pullers
 
 type push_result = {
   pusher : Pusher.stats;
@@ -90,72 +97,48 @@ type push_result = {
   roundtrips : int;
 }
 
-(* Same pump as [run_pulls], upload direction: used concurrently for
-   interleaving coverage and one-client-at-a-time when a caller wants
-   each push to see the chunks its predecessors left in the store. *)
-let run_pushes ?(max_iterations = 1_000_000) ?params ~daemon clients =
-  let states =
-    List.map
-      (fun files ->
-        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Daemon.add_connection daemon b;
-        let tr = Fd_transport.of_fd a in
-        let pusher = Pusher.create ?params files in
-        send_all (Fd_transport.channel tr) (Pusher.start pusher);
-        (tr, pusher, ref false))
-      clients
-  in
-  let remaining () = List.exists (fun (_, _, d) -> not !d) states in
-  let iter = ref 0 in
-  while remaining () && !iter < max_iterations do
-    incr iter;
-    Daemon.step ~timeout_s:0.0 daemon;
-    List.iter
-      (fun (tr, pusher, done_) ->
-        if not !done_ then
-          let ch = Fd_transport.channel tr in
-          match Channel.recv_opt ch Channel.Server_to_client with
-          | Some frame ->
-              send_all ch (Pusher.on_message pusher frame);
-              if Pusher.finished pusher then done_ := true
-          | None -> ())
-      states
+(* Upload direction: used concurrently for interleaving coverage and
+   one-client-at-a-time when a caller wants each push to see the chunks
+   its predecessors left in the store. *)
+let run_pushes ?max_iterations ?params ~daemon clients =
+  let pushers = List.map (fun files -> Pusher.create ?params files) clients in
+  List.map2
+    (fun ch p ->
+      {
+        pusher = Pusher.stats p;
+        up_bytes = Channel.bytes ch Channel.Client_to_server;
+        down_bytes = Channel.bytes ch Channel.Server_to_client;
+        roundtrips = Channel.roundtrips ch;
+      })
+    (pump ?max_iterations ~daemon ~what:"pushes"
+       (List.map
+          (fun p ->
+            {
+              Backoff.start = (fun () -> Pusher.start p);
+              on_message = Pusher.on_message p;
+              finished = (fun () -> Pusher.finished p);
+            })
+          pushers))
+    pushers
+
+let pump_in_memory ch ~server ~what (client : Backoff.machine) =
+  send ch Channel.Client_to_server (client.start ());
+  let progress = ref true in
+  while !progress do
+    match Channel.recv_opt ch Channel.Client_to_server with
+    | Some m -> send ch Channel.Server_to_client (server m)
+    | None -> (
+        match Channel.recv_opt ch Channel.Server_to_client with
+        | Some m -> send ch Channel.Client_to_server (client.on_message m)
+        | None -> progress := false)
   done;
-  if remaining () then
-    Error.fail
-      (Error.Channel_empty "Loopback: pushes stalled before completion");
-  List.map
-    (fun (tr, pusher, _) ->
-      let ch = Fd_transport.channel tr in
-      let r =
-        {
-          pusher = Pusher.stats pusher;
-          up_bytes = Channel.bytes ch Channel.Client_to_server;
-          down_bytes = Channel.bytes ch Channel.Server_to_client;
-          roundtrips = Channel.roundtrips ch;
-        }
-      in
-      Fd_transport.close tr;
-      r)
-    states
+  if not (client.finished ()) then
+    Error.channel_empty "%s stalled before completion" what
 
 let run_in_memory ?config ?scope ~cache ~server ~client () =
   let ch = Channel.create () in
   let session = Session.create ?config ?scope ~cache server in
   let puller = Puller.create client in
-  let send dir m = Channel.send ch ~label:(Msg.wire_label m) dir m in
-  List.iter (send Channel.Client_to_server) (Puller.start puller);
-  let progress = ref true in
-  while !progress do
-    match Channel.recv_opt ch Channel.Client_to_server with
-    | Some m ->
-        List.iter (send Channel.Server_to_client) (Session.on_message session m)
-    | None -> (
-        match Channel.recv_opt ch Channel.Server_to_client with
-        | Some m ->
-            List.iter (send Channel.Client_to_server) (Puller.on_message puller m)
-        | None -> progress := false)
-  done;
-  if not (Puller.finished puller) then
-    Error.fail (Error.Channel_empty "Loopback: in-memory run stalled");
+  pump_in_memory ch ~server:(Session.on_message session)
+    ~what:"Loopback: in-memory run" (puller_machine puller);
   (result_of ch puller, Session.stats session)

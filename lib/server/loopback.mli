@@ -1,13 +1,18 @@
-(** Deterministic single-process drivers for the daemon and the puller.
+(** Deterministic single-process drivers for the daemon and its
+    clients, built on two pumps.
 
-    [run_pulls] wires N clients to a {!Daemon} over socketpairs and
+    {!pump} wires N client machines to a {!Daemon} over socketpairs and
     pumps everything round-robin in one thread: one {!Daemon.step}, then
-    one frame per client, repeat.  Interleaving is therefore exercised
-    for real — all sessions are mid-flight in the same loop — while the
-    schedule stays reproducible.  [run_in_memory] runs the same two
-    state machines over a plain in-memory {!Fsync_net.Channel}; because
-    transport framing is the only difference, it is the byte-for-byte
-    reference the socket path is compared against in tests. *)
+    at most one frame per client, repeat.  Interleaving is therefore
+    exercised for real — all sessions are mid-flight in the same loop —
+    while the schedule stays reproducible.  {!run_pulls}, {!run_pushes}
+    and the swarm's socket tests all run on it.
+
+    {!pump_in_memory} runs a client machine against a server machine
+    over a plain in-memory {!Fsync_net.Channel}, no daemon involved.
+    Because transport framing is the only difference, it is the
+    byte-for-byte reference the socket path is compared against:
+    {!run_in_memory} for pulls, [Swarm_loopback.session] for gossip. *)
 
 type pull_result = {
   files : (string * string) list; (** the synchronized replica *)
@@ -24,17 +29,29 @@ type pull_result = {
   roundtrips : int;
 }
 
+val pump :
+  ?max_iterations:int ->
+  ?prepare:(int -> Fsync_net.Channel.t -> unit) ->
+  daemon:Daemon.t ->
+  what:string ->
+  Backoff.machine list ->
+  Fsync_net.Channel.t list
+(** Connect every machine to [daemon] over its own socketpair, send its
+    opening frames and pump until every machine finishes.  [prepare i
+    ch] runs before client [i]'s first frame — the place to attach
+    {!Fsync_net.Fault} schedules to its transport channel.  Returns each
+    client's (closed) channel, whose accounts stay readable.  Raises a
+    typed [Channel_empty] naming [what] if the system stalls
+    ([max_iterations], default 1e6, bounds the loop). *)
+
 val run_pulls :
   ?max_iterations:int ->
   ?prepare:(int -> Fsync_net.Channel.t -> unit) ->
   daemon:Daemon.t ->
   (string * string) list list ->
   pull_result list
-(** One pull per listed replica, all concurrent against [daemon].
-    [prepare i ch] runs before client [i]'s first frame — the place to
-    attach {!Fsync_net.Fault} schedules to its transport channel.
-    Raises a typed error if the system stalls ([max_iterations],
-    default 1e6, bounds the pump loop). *)
+(** One pull per listed replica, all concurrent against [daemon], on
+    {!pump}. *)
 
 type push_result = {
   pusher : Pusher.stats;
@@ -54,6 +71,17 @@ val run_pushes :
     let each push see the chunks its predecessors stored (that is how
     the dedup benchmarks measure the second client's saving). *)
 
+val pump_in_memory :
+  Fsync_net.Channel.t ->
+  server:(string -> string list) ->
+  what:string ->
+  Backoff.machine ->
+  unit
+(** Send the client's opening frames, then deliver queued frames (the
+    server's inbox first) until both directions drain.  Raises a typed
+    [Channel_empty] naming [what] if the client has not finished by
+    then. *)
+
 val run_in_memory :
   ?config:Msg.sync_config ->
   ?scope:Fsync_obs.Scope.t ->
@@ -62,4 +90,5 @@ val run_in_memory :
   client:(string * string) list ->
   unit ->
   pull_result * Session.stats
-(** The reference run: same machines, no file descriptors. *)
+(** The reference run: same machines, no file descriptors, on
+    {!pump_in_memory}. *)

@@ -8,10 +8,11 @@
     fault schedule so deterministic faults cannot pin the same frame
     forever.
 
-    Attempts are separated by {!Backoff} delays (jittered exponential,
-    or the server's own [retry-after] on {!Fsync_core.Error.Busy}), and
-    the {!Puller.resume_token} of a failed attempt carries completed
-    files across, so a resumed pull re-transfers only the remainder. *)
+    Each attempt is one {!Backoff.drive}, and {!Backoff.retry} separates
+    them by jittered exponential delays (or the server's own
+    [retry-after] on {!Fsync_core.Error.Busy}); the
+    {!Puller.resume_token} of a failed attempt carries completed files
+    across, so a resumed pull re-transfers only the remainder. *)
 
 type outcome = {
   files : (string * string) list;

@@ -7,8 +7,8 @@
     server's bitmap is recomputed per attempt, so a second attempt only
     re-sends what the store still lacks — and files already
     acknowledged are skipped outright via {!Pusher.completed_paths}.
-    Attempts are separated by {!Backoff} delays (jittered exponential,
-    or the server's own [retry-after] on {!Fsync_core.Error.Busy}). *)
+    Attempts run through {!Backoff.drive} and {!Backoff.retry}, exactly
+    as in {!Pull}. *)
 
 type outcome = {
   stats : Pusher.stats;

@@ -50,7 +50,8 @@ type t = {
   root : Fp.t;
   cache : Sigcache.t;
   store : Store.t option;
-  publish : path:string -> content:string -> unit;
+  publish : (path:string -> content:string -> unit) option;
+      (* None: a read-only endpoint that refuses uploads *)
   scope : Scope.t; (* daemon-wide counters, shared across sessions *)
   trace : Scope.t; (* this session's private trace registry, if any *)
   mutable trace_id : Trace_id.t option; (* adopted from Hello, or minted *)
@@ -67,8 +68,7 @@ type t = {
 }
 
 let create ?(config = Msg.default_sync_config) ?(scope = Scope.disabled)
-    ?(trace = Scope.disabled) ?store
-    ?(publish = fun ~path:_ ~content:_ -> ()) ~cache files =
+    ?(trace = Scope.disabled) ?store ?publish ~cache files =
   let config = Msg.validate_sync_config config in
   let by_path = Hashtbl.create (List.length files) in
   List.iter (fun (p, c) -> Hashtbl.replace by_path p c) files;
@@ -432,7 +432,7 @@ let assemble t u pf uploaded =
               Store.set_manifest store ~path:pf.p_path
                 (List.map fst pf.p_manifest))
       | None -> ());
-      t.publish ~path:pf.p_path ~content;
+      Option.iter (fun publish -> publish ~path:pf.p_path ~content) t.publish;
       t.pushed <- (pf.p_path, content) :: t.pushed;
       t.pushed_files <- t.pushed_files + 1;
       Scope.incr t.scope "push_files";
@@ -524,6 +524,9 @@ let dispatch t msg =
   | Transfer batch, ((Msg.Matched _ | Msg.File_ack _) as m) ->
       let replies = Batch.Serve.on_message batch m in
       replies @ close_if_complete t batch
+  | Expect_announce, (Msg.Push_begin _ | Msg.Push_done)
+    when Option.is_none t.publish ->
+      Error.malformed "Session: this endpoint is read-only and refuses uploads"
   | Expect_announce, Msg.Push_begin items ->
       let u =
         { opened = 0; pending = []; acks = []; needs = []; push_done = false }

@@ -45,7 +45,10 @@ val create :
     collection.  [cache] is shared across sessions — that is the point
     of it.  [store] (shared too) enables push dedup and store-assembled
     full payloads; [publish] is called for every verified pushed file so
-    the daemon can fold it into the served collection.
+    the daemon can fold it into the served collection.  Without
+    [publish] the session is read-only: it serves pulls and answers an
+    upload's opening frame with a typed [Malformed] teardown, so a push
+    is never acknowledged and then dropped.
 
     [scope] carries daemon-wide counters shared by every session;
     [trace] is this session's {e private} registry: the machine stamps

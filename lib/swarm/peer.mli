@@ -1,67 +1,42 @@
-(** A swarm peer: one replica served from a single-threaded select
-    loop, plus the dialing side used by [fsync swarm join/repair].
+(** A swarm peer: one replica served by an ordinary
+    {!Fsync_server.Daemon}, plus the dialing side used by
+    [fsync swarm join/repair].
 
-    The serving loop speaks both dialects of fsyncd/1 on one port: the
-    first frame of every connection routes it — a [Hello] carrying the
-    swarm extension starts a {!Gossip.Responder} (anti-entropy exchange
-    against the replica), a plain [Hello] starts an ordinary read-only
+    The endpoint speaks both dialects of fsyncd/1 on one port through
+    the daemon's one event loop.  The daemon's route (see
+    {!Fsync_server.Daemon.create}) sends a [Hello] carrying the swarm
+    extension to a fresh {!Gossip.Responder} (an anti-entropy exchange
+    against the replica), and any other [Hello] to a read-only
     {!Fsync_server.Session} over the replica's current files, so plain
-    clients can pull from a swarm member.  Gossip applies
-    mutate the replica in place; sessions opened afterwards serve the
-    converged state.
+    clients can pull from a swarm member but a push is refused typed,
+    never acknowledged and dropped.  Gossip applies mutate the replica
+    in place; sessions opened afterwards serve the converged state.
 
-    Everything is one thread: machines only run inside {!step}, so
-    applies are atomic with respect to other connections. *)
+    Limits, [Busy] shedding, idle timeouts, typed teardown and the
+    session counters are the daemon's; the peer owns only the route,
+    the count of sessions per dialect, and the two dialing helpers.
+    Everything is one thread: machines only run inside
+    {!Fsync_server.Daemon.step}, so applies are atomic with respect to
+    other connections. *)
 
 type t
 
-type config = {
-  sync : Fsync_server.Msg.sync_config;
-  max_outbox : int; (** per-connection backpressure bound, bytes *)
-  session_timeout_s : float;
-}
-
-val default_config : config
-(** 4 MiB outbox, 30 s idle timeout. *)
-
 val create :
-  ?config:config ->
+  ?config:Fsync_server.Daemon.config ->
   ?scope:Fsync_obs.Scope.t ->
   ?policy:Resolve.policy ->
   Replica.t ->
   t
+(** The endpoint for [replica]; [config.sync] also configures the gossip
+    responders.  Listen, step, run and stop through {!daemon}. *)
 
-val replica : t -> Replica.t
+val daemon : t -> Fsync_server.Daemon.t
 
-val listen : t -> host:string -> port:int -> int
-(** Bind and listen; returns the actual port (useful with port 0).
-    @raise Unix.Unix_error on bind failure. *)
+val gossip_sessions : t -> int
+(** Connections routed to a gossip responder so far. *)
 
-val add_connection : t -> Unix.file_descr -> unit
-(** Register an already-connected descriptor (e.g. one end of a
-    socketpair in tests).  Owned by the peer from here on. *)
-
-val step : ?timeout_s:float -> t -> unit
-(** One loop iteration: select (default 50 ms), accept, feed machines,
-    flush outboxes, reap finished / failed / idle connections.  Never
-    raises on peer misbehavior. *)
-
-val run : ?timeout_s:float -> t -> unit
-(** {!step} until {!request_stop}, then {!shutdown}. *)
-
-val request_stop : t -> unit
-val shutdown : t -> unit
-
-type stats = {
-  accepted : int;
-  gossip_sessions : int;
-  plain_sessions : int;
-  completed : int;
-  failed : int;
-  timeouts : int;
-}
-
-val stats : t -> stats
+val plain_sessions : t -> int
+(** Connections routed to a read-only session so far. *)
 
 (** {2 Dialing} *)
 
@@ -74,7 +49,8 @@ val gossip :
   Replica.t ->
   Gossip.stats
 (** One anti-entropy exchange with the peer at [host:port], as the
-    initiator.  Raises typed errors on failure. *)
+    initiator, driven by {!Fsync_server.Backoff.drive}.  Raises typed
+    errors on failure. *)
 
 val repair :
   ?policy:Resolve.policy ->

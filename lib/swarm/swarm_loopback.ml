@@ -2,6 +2,7 @@ module Channel = Fsync_net.Channel
 module Error = Fsync_core.Error
 module Scope = Fsync_obs.Scope
 module Prng = Fsync_util.Prng
+module Loopback = Fsync_server.Loopback
 
 type session_result = {
   initiator : Gossip.stats;
@@ -11,34 +12,17 @@ type session_result = {
   roundtrips : int;
 }
 
-(* Pump two machines over an in-memory channel until both queues drain. *)
-let pump ch ~start ~client ~server ~client_done ~what =
-  let send dir m = Channel.send ch dir m in
-  List.iter (send Channel.Client_to_server) start;
-  let progress = ref true in
-  while !progress do
-    match Channel.recv_opt ch Channel.Client_to_server with
-    | Some m -> List.iter (send Channel.Server_to_client) (server m)
-    | None -> (
-        match Channel.recv_opt ch Channel.Server_to_client with
-        | Some m -> List.iter (send Channel.Client_to_server) (client m)
-        | None -> progress := false)
-  done;
-  if not (client_done ()) then
-    Error.fail
-      (Error.Channel_empty
-         (Printf.sprintf "Swarm_loopback: %s stalled before completion" what))
-
 let session ?policy ?scope ?config ~initiator ~responder () =
   let ch = Channel.create () in
   let ini = Gossip.Initiator.create ?policy ?scope initiator in
   let resp = Gossip.Responder.create ?policy ?scope ?config responder in
-  pump ch
-    ~start:(Gossip.Initiator.start ini)
-    ~client:(Gossip.Initiator.on_message ini)
-    ~server:(Gossip.Responder.on_message resp)
-    ~client_done:(fun () -> Gossip.Initiator.finished ini)
-    ~what:"gossip session";
+  Loopback.pump_in_memory ch ~server:(Gossip.Responder.on_message resp)
+    ~what:"Swarm_loopback: gossip session"
+    {
+      start = (fun () -> Gossip.Initiator.start ini);
+      on_message = Gossip.Initiator.on_message ini;
+      finished = (fun () -> Gossip.Initiator.finished ini);
+    };
   {
     initiator = Gossip.Initiator.stats ini;
     responder = Gossip.Responder.stats resp;
@@ -53,11 +37,13 @@ let repair ?policy ?scope ?config ~replica ~peers ~path () =
       let ch = Channel.create () in
       let rep = Repair.create ?policy ?scope replica ~path in
       let resp = Gossip.Responder.create ?policy ?scope ?config peer in
-      pump ch ~start:(Repair.start rep)
-        ~client:(Repair.on_message rep)
-        ~server:(Gossip.Responder.on_message resp)
-        ~client_done:(fun () -> Repair.finished rep)
-        ~what:"repair session";
+      Loopback.pump_in_memory ch ~server:(Gossip.Responder.on_message resp)
+        ~what:"Swarm_loopback: repair session"
+        {
+          start = (fun () -> Repair.start rep);
+          on_message = Repair.on_message rep;
+          finished = (fun () -> Repair.finished rep);
+        };
       Repair.outcome rep)
     peers
 

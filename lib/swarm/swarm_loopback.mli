@@ -1,9 +1,12 @@
 (** Deterministic in-process swarm harness.
 
     [session] runs one full gossip exchange between two replicas over an
-    in-memory {!Fsync_net.Channel} — the byte-for-byte reference for the
-    socket path, exactly as {!Fsync_server.Loopback.run_in_memory} is
-    for pairwise pulls.  [t] scales that to K peers: every round, each
+    in-memory {!Fsync_net.Channel}, on the same
+    {!Fsync_server.Loopback.pump_in_memory} that
+    {!Fsync_server.Loopback.run_in_memory} uses for pairwise pulls — the
+    byte-for-byte reference for gossip through a {!Peer}'s daemon loop
+    (socket bytes minus 4 B of framing per message).  [repair] pumps the
+    same way.  [t] scales that to K peers: every round, each
     peer initiates one session against a uniformly random partner drawn
     from a seeded {!Fsync_util.Prng}, so a K-peer swarm converges in
     O(log K) expected rounds and every run with the same seed replays

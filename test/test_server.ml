@@ -953,9 +953,10 @@ let push_item ~slot path content =
     { Msg.path; file_len = String.length content; fp;
       manifest = [ (fp, String.length content) ] } )
 
-(* A server session past its Hello, fed encoded frames. *)
-let push_session () =
-  let s = Session.create ~cache:(Sigcache.create ()) [] in
+(* A server session past its Hello, fed encoded frames; uploads need a
+   publisher, without one the session is read-only. *)
+let push_session ?(publish = fun ~path:_ ~content:_ -> ()) () =
+  let s = Session.create ~publish ~cache:(Sigcache.create ()) [] in
   ignore
     (Session.on_message s
        (Msg.encode ~config:cfg
@@ -984,6 +985,12 @@ let test_push_frames_rejected () =
   expect_typed "repeated need slot"
     (decode (enc (Msg.Chunk_need [ (2, "\x80"); (2, "") ])));
   expect_typed "need bitmap past the frame" (decode "N\x00\x32ab");
+  let read_only = Session.create ~cache:(Sigcache.create ()) [] in
+  ignore
+    (Session.on_message read_only
+       (enc (Msg.Hello { version = Msg.version; trace = None; swarm = None })));
+  expect_typed "a read-only session refuses uploads" (fun () ->
+      feed read_only (Msg.Push_begin [ a ]));
   (* out of range on the server: slots open in order, once *)
   expect_typed "first slot not 0" (fun () ->
       feed (push_session ()) (Msg.Push_begin [ push_item ~slot:1 "b" "beta" ]));

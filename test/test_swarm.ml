@@ -577,23 +577,23 @@ let test_repair_concurrent_conflict () =
       | _ -> Alcotest.fail "invalid repair path must be rejected"
       | exception Error.E _ -> ())
 
-(* ---- the peer daemon over real descriptors ---- *)
+(* ---- the peer endpoint: a daemon routing both dialects ---- *)
 
-let pump_against_peer peer tr machine_on_message machine_finished start =
-  let module Ch = Fsync_net.Channel in
-  let module Tr = Fsync_net.Fd_transport in
-  let ch = Tr.channel tr in
-  let send ms = List.iter (fun m -> Ch.send ch Ch.Client_to_server m) ms in
-  send start;
-  let iters = ref 0 in
-  while (not (machine_finished ())) && !iters < 200_000 do
-    incr iters;
-    Peer.step ~timeout_s:0.0 peer;
-    match Ch.recv_opt ch Ch.Server_to_client with
-    | Some f -> send (machine_on_message f)
-    | None -> ()
-  done;
-  Alcotest.(check bool) "pump completed" true (machine_finished ())
+module Daemon = Fsync_server.Daemon
+module Srv_loopback = Fsync_server.Loopback
+module Ch = Fsync_net.Channel
+module Tr = Fsync_net.Fd_transport
+
+let initiator_machine ini =
+  {
+    Fsync_server.Backoff.start = (fun () -> Gossip.Initiator.start ini);
+    on_message = Gossip.Initiator.on_message ini;
+    finished = (fun () -> Gossip.Initiator.finished ini);
+  }
+
+let count_dir ch dir =
+  List.length
+    (List.filter (fun (d, _, _) -> d = dir) (Ch.transcript ch))
 
 let test_peer_daemon_routes_both_dialects () =
   with_root (fun dir ->
@@ -602,37 +602,196 @@ let test_peer_daemon_routes_both_dialects () =
       write_raw rc "cli.txt" "client data";
       let server = load rs "S" and client = load rc "C" in
       let peer = Peer.create server in
-      let module Tr = Fsync_net.Fd_transport in
+      let daemon = Peer.daemon peer in
       (* dialect one: a swarm gossip exchange *)
-      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Peer.add_connection peer b;
-      let tr = Tr.of_fd a in
-      let ini = Gossip.Initiator.create client in
-      pump_against_peer peer tr
-        (Gossip.Initiator.on_message ini)
-        (fun () -> Gossip.Initiator.finished ini)
-        (Gossip.Initiator.start ini);
-      Tr.close tr;
+      ignore
+        (Srv_loopback.pump ~daemon ~what:"gossip"
+           [ initiator_machine (Gossip.Initiator.create client) ]);
       check_all_equal "socket gossip" [ server; client ];
       (* dialect two: a plain pull from the same endpoint
          sees the post-gossip collection *)
-      let a2, b2 = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Peer.add_connection peer b2;
-      let tr2 = Tr.of_fd a2 in
-      let pull = Fsync_server.Puller.create [] in
-      pump_against_peer peer tr2
-        (Fsync_server.Puller.on_message pull)
-        (fun () -> Fsync_server.Puller.finished pull)
-        (Fsync_server.Puller.start pull);
-      Tr.close tr2;
-      let got = List.sort compare (Fsync_server.Puller.result pull) in
-      Alcotest.(check bool) "plain pull serves the converged swarm state"
-        true
-        (got = Replica.files server);
-      let st = Peer.stats peer in
-      Alcotest.(check int) "one gossip session" 1 st.Peer.gossip_sessions;
-      Alcotest.(check int) "one plain session" 1 st.Peer.plain_sessions;
-      Peer.shutdown peer)
+      (match Srv_loopback.run_pulls ~daemon [ [] ] with
+      | [ r ] ->
+          Alcotest.(check bool) "plain pull serves the converged swarm state"
+            true
+            (List.sort compare r.Srv_loopback.files = Replica.files server)
+      | _ -> Alcotest.fail "expected one pull");
+      Alcotest.(check int) "one gossip session" 1 (Peer.gossip_sessions peer);
+      Alcotest.(check int) "one plain session" 1 (Peer.plain_sessions peer);
+      Daemon.shutdown daemon)
+
+(* A push into a swarm endpoint used to be acknowledged and then
+   dropped; the endpoint's plain sessions are read-only, so the pusher
+   must fail typed and the replica stay as it was. *)
+let test_push_to_peer_refused () =
+  with_root (fun dir ->
+      let rs = subdir dir "server" in
+      write_raw rs "srv.txt" "server data";
+      let server = load rs "S" in
+      let before = Replica.files server in
+      let peer = Peer.create server in
+      let daemon = Peer.daemon peer in
+      let pusher = Fsync_server.Pusher.create [ ("pushed.txt", "payload") ] in
+      (match
+         Srv_loopback.pump ~daemon ~what:"push"
+           [
+             {
+               Fsync_server.Backoff.start =
+                 (fun () -> Fsync_server.Pusher.start pusher);
+               on_message = Fsync_server.Pusher.on_message pusher;
+               finished = (fun () -> Fsync_server.Pusher.finished pusher);
+             };
+           ]
+       with
+      | _ -> Alcotest.fail "a push to a swarm endpoint must fail"
+      | exception Error.E _ -> ());
+      let iters = ref 0 in
+      while Daemon.active_sessions daemon > 0 && !iters < 1000 do
+        incr iters;
+        Daemon.step ~timeout_s:0.001 daemon
+      done;
+      let st = Daemon.stats daemon in
+      Alcotest.(check int) "session counted failed" 1 st.Daemon.failed;
+      Alcotest.(check int) "nothing completed" 0 st.Daemon.completed;
+      Alcotest.(check bool) "replica unchanged" true
+        (Replica.files server = before);
+      Alcotest.(check bool) "disk unchanged" true
+        (Replica.files (load rs "S") = before);
+      Daemon.shutdown daemon)
+
+(* Open a raw connection to a peer and send a gossip Hello; returns the
+   client transport. *)
+let open_gossip daemon replica =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Daemon.add_connection daemon b;
+  let tr = Tr.of_fd a in
+  let ini = Gossip.Initiator.create replica in
+  List.iter
+    (fun m -> Ch.send (Tr.channel tr) Ch.Client_to_server m)
+    (Gossip.Initiator.start ini);
+  tr
+
+let step_until daemon cond =
+  let iters = ref 0 in
+  while (not (cond ())) && !iters < 2000 do
+    incr iters;
+    Daemon.step ~timeout_s:0.002 daemon
+  done;
+  Alcotest.(check bool) "condition reached" true (cond ())
+
+let test_peer_idle_gossip_times_out () =
+  with_root (fun dir ->
+      let rs = subdir dir "server" and rc = subdir dir "client" in
+      write_raw rs "srv.txt" "server data";
+      write_raw rc "cli.txt" "client data";
+      let peer =
+        Peer.create
+          ~config:{ Daemon.default_config with session_timeout_s = 0.05 }
+          (load rs "S")
+      in
+      let daemon = Peer.daemon peer in
+      let tr = open_gossip daemon (load rc "C") in
+      (* The initiator goes quiet after its Hello. *)
+      step_until daemon (fun () -> Daemon.active_sessions daemon = 0);
+      let rec last acc =
+        match Ch.recv_opt (Tr.channel tr) Ch.Server_to_client with
+        | Some f -> last (Some f)
+        | None -> acc
+        | exception Tr.Closed -> acc
+      in
+      (match last None with
+      | Some f -> (
+          match Msg.decode ~config:Msg.default_sync_config f with
+          | Msg.Error_msg _ -> ()
+          | m -> Alcotest.failf "expected Error_msg, got %s" (Msg.label m))
+      | None -> Alcotest.fail "idle gossip closed without a typed teardown");
+      let st = Daemon.stats daemon in
+      Alcotest.(check int) "counted as a timeout" 1 st.Daemon.timeouts;
+      Alcotest.(check int) "and as failed" 1 st.Daemon.failed;
+      Tr.close tr;
+      Daemon.shutdown daemon)
+
+let test_peer_hangup_mid_gossip_fails () =
+  with_root (fun dir ->
+      let rs = subdir dir "server" and rc = subdir dir "client" in
+      write_raw rs "srv.txt" "server data";
+      write_raw rc "cli.txt" "client data";
+      let peer = Peer.create (load rs "S") in
+      let daemon = Peer.daemon peer in
+      let tr = open_gossip daemon (load rc "C") in
+      step_until daemon (fun () ->
+          Option.is_some (Ch.recv_opt (Tr.channel tr) Ch.Server_to_client));
+      Tr.close tr;
+      step_until daemon (fun () -> Daemon.active_sessions daemon = 0);
+      let st = Daemon.stats daemon in
+      Alcotest.(check int) "hang-up counted failed" 1 st.Daemon.failed;
+      Alcotest.(check int) "nothing completed" 0 st.Daemon.completed;
+      Daemon.shutdown daemon)
+
+(* Past max_sessions a swarm port sheds with a typed Busy, as a plain
+   daemon does. *)
+let test_peer_sheds_busy () =
+  with_root (fun dir ->
+      let rs = subdir dir "server" in
+      write_raw rs "srv.txt" "server data";
+      let peer =
+        Peer.create
+          ~config:{ Daemon.default_config with max_sessions = 0 }
+          (load rs "S")
+      in
+      let daemon = Peer.daemon peer in
+      let port = Daemon.listen daemon ~host:"127.0.0.1" ~port:0 in
+      let tr = Fsync_server.Backoff.connect ~host:"127.0.0.1" ~port in
+      let got = ref None in
+      step_until daemon (fun () ->
+          (match Ch.recv_opt (Tr.channel tr) Ch.Server_to_client with
+          | Some f -> got := Some f
+          | None | (exception Tr.Closed) -> ());
+          Option.is_some !got);
+      (match Option.map (Msg.decode ~config:Msg.default_sync_config) !got with
+      | Some (Msg.Busy { retry_after_ms }) ->
+          Alcotest.(check bool) "retry-after carried" true (retry_after_ms > 0)
+      | _ -> Alcotest.fail "expected Busy");
+      Alcotest.(check int) "counted as shed" 1 (Daemon.stats daemon).Daemon.shed;
+      Tr.close tr;
+      Daemon.shutdown daemon)
+
+(* The same gossip through the daemon loop over a socketpair and over
+   the in-memory reference: identical payload bytes per direction once
+   the 4-byte frame headers are taken off, identical round trips. *)
+let test_socket_gossip_byte_parity () =
+  with_root (fun dir ->
+      let pair tag =
+        let ra = subdir dir ("a" ^ tag) and rb = subdir dir ("b" ^ tag) in
+        write_raw ra "shared.txt" (String.make 3000 'x' ^ "tail a");
+        write_raw rb "shared.txt" (String.make 3000 'x' ^ "tail b");
+        write_raw ra "only-a.txt" "alpha";
+        write_raw rb "dir/only-b.txt" "beta";
+        (load ra "A", load rb "B")
+      in
+      let a1, b1 = pair "1" and a2, b2 = pair "2" in
+      let mem = Loopback.session ~initiator:a1 ~responder:b1 () in
+      let peer = Peer.create b2 in
+      let ch =
+        match
+          Srv_loopback.pump ~daemon:(Peer.daemon peer) ~what:"gossip"
+            [ initiator_machine (Gossip.Initiator.create a2) ]
+        with
+        | [ ch ] -> ch
+        | _ -> Alcotest.fail "expected one channel"
+      in
+      let payload dir =
+        Ch.bytes ch dir - (Tr.header_bytes * count_dir ch dir)
+      in
+      Alcotest.(check int) "c2s payload identical" mem.Loopback.c2s_bytes
+        (payload Ch.Client_to_server);
+      Alcotest.(check int) "s2c payload identical" mem.Loopback.s2c_bytes
+        (payload Ch.Server_to_client);
+      Alcotest.(check int) "same round trips" mem.Loopback.roundtrips
+        (Ch.roundtrips ch);
+      check_all_equal "socket pair" [ a2; b2 ];
+      check_all_equal "both runs" [ a1; a2 ];
+      Daemon.shutdown (Peer.daemon peer))
 
 (* ---- crash-tolerant persistence ---- *)
 
@@ -700,6 +859,15 @@ let suite =
         test_repair_pulls_missing_path;
       Alcotest.test_case "repair surfaces concurrent conflict" `Quick
         test_repair_concurrent_conflict;
+      Alcotest.test_case "push to a peer refused typed" `Quick
+        test_push_to_peer_refused;
+      Alcotest.test_case "peer idle gossip times out" `Quick
+        test_peer_idle_gossip_times_out;
+      Alcotest.test_case "peer hang-up mid-gossip fails" `Quick
+        test_peer_hangup_mid_gossip_fails;
+      Alcotest.test_case "peer sheds busy" `Quick test_peer_sheds_busy;
+      Alcotest.test_case "socket gossip byte parity" `Quick
+        test_socket_gossip_byte_parity;
       Alcotest.test_case "peer daemon routes both dialects" `Quick
         test_peer_daemon_routes_both_dialects;
       Alcotest.test_case "crash sweep during apply" `Quick

@@ -75,7 +75,7 @@ let in_bin_or_bench path =
 
 (* R8's scope is exactly the single-threaded select loops. *)
 let event_loop_files =
-  [ "lib/server/daemon.ml"; "lib/server/conn.ml"; "lib/swarm/peer.ml" ]
+  [ "lib/server/daemon.ml"; "lib/server/conn.ml" ]
 
 (* R9: the crash-safe paths Fault_io must be able to intercept;
    lib/store/io.ml is the sanctioned raw-syscall boundary.  The swarm's

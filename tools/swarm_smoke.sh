@@ -11,7 +11,9 @@
 #      included), the concurrent edit surfaced as a
 #      `.fsync-conflict.<peer>` sibling with both versions preserved,
 #      and a plain `fsync pull` against a swarm port retrieves
-#      the converged collection (one port, both dialects)
+#      the converged collection (one port, both dialects), while a plain
+#      `fsync push` to a swarm port fails and leaves the replica
+#      byte-unchanged (a swarm port is read-only to plain clients)
 #   5. SIGTERM the daemons and check each reports a clean shutdown with
 #      at least one completed gossip session
 #
@@ -134,6 +136,20 @@ diff -r -x .fsync-swarm "$WORK/p1" "$WORK/plain" >/dev/null 2>&1 \
   || fail "plain pull differs from the served replica:
 $(diff -r -x .fsync-swarm "$WORK/p1" "$WORK/plain" 2>&1 | head -5)"
 echo "swarm-smoke: plain pull served from the swarm port"
+
+# ---- 4d. a plain push to a swarm port is refused ---------------------
+mkdir -p "$WORK/upload"
+printf 'must not land\n' > "$WORK/upload/pushed.txt"
+cp -R "$WORK/p1" "$WORK/p1.before"
+if "$FSYNC" push "127.0.0.1:$PORT1" "$WORK/upload" --attempts 1 -q \
+  > "$WORK/push.log" 2>&1; then
+  fail "push to a swarm port succeeded:
+$(cat "$WORK/push.log")"
+fi
+diff -r "$WORK/p1.before" "$WORK/p1" >/dev/null 2>&1 \
+  || fail "a refused push changed p1:
+$(diff -r "$WORK/p1.before" "$WORK/p1" 2>&1 | head -5)"
+echo "swarm-smoke: plain push refused, p1 byte-unchanged"
 
 # ---- 5. clean shutdown ----------------------------------------------
 for i in 1 2 3; do
